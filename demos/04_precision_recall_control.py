@@ -10,8 +10,7 @@ on a multiple-kernel similarity and prints the tradeoff.
 import numpy as np
 
 from dpplearn import SimilarityConfig, SynthConfig, TrainConfig, generate_dataset, train
-from dpplearn.batch import build_L_stack, map_exhaustive_stack, stack_instances
-from dpplearn.harness import evaluate_params
+from dpplearn.harness import evaluate_params, predict_subsets
 from dpplearn.inference import InferenceConfig
 
 ds = generate_dataset(SynthConfig(n_train=200, n_holdout=50, n_test=100, seed=9))
@@ -26,7 +25,6 @@ for q in (-6, -3, 0, 3, 6):
                          rel_tolerance=1e-9)
     result = train(list(ds.train), config)
     p, r, f = evaluate_params(ds.test, result.params, similarity, inference)
-    batch = stack_instances(list(ds.test), similarity)[0]
-    _, L = build_L_stack(batch, result.params.theta, result.params.kernel_weights)
-    mean_size = np.mean([len(y) for y in map_exhaustive_stack(L)])
+    preds = predict_subsets(ds.test, result.params, similarity, inference)
+    mean_size = np.mean([len(y) for y in preds])
     print(f" 2^{q:+d}      {p:.4f}    {r:.4f}   {f:.4f}     {mean_size:.2f}")

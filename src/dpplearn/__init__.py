@@ -59,7 +59,6 @@ from .synth import (
     SynthDataset,
     TRUE_SIMILARITY,
     generate_dataset,
-    misspecified_similarity,
     true_params,
 )
 

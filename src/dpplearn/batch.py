@@ -1,4 +1,4 @@
-"""Vectorized evaluation over many ground sets at once.
+"""The numerical engine: objective, gradients and MAP over kernel stacks.
 
 Training and the experiment harness repeatedly evaluate the hinge
 objective, its subgradient, and exhaustive MAP predictions over hundreds
@@ -6,9 +6,10 @@ of small ground sets.  Doing that one instance at a time is dominated by
 Python overhead, so this module stacks instances with equal item counts
 into contiguous arrays and pushes the work through batched LAPACK calls.
 
-Consistency with the per-instance reference implementations in
-:mod:`dpplearn.learning` and :mod:`dpplearn.inference` is covered by tests;
-the batched path is an internal engine, not a second definition.
+Every formula is defined here once.  The per-instance functions in
+:mod:`dpplearn.learning` and :mod:`dpplearn.inference` call it with a
+stack of one; slow, independent reference implementations live in the
+test suite's ``oracles.py``.
 """
 
 from __future__ import annotations
@@ -21,15 +22,20 @@ import numpy as np
 from .errors import NotPositiveSemidefiniteError, ParameterError
 from .kernel import EIG_CLAMP_TOL, base_similarity_stack
 
-# Relative eigenvalue floor below which a label submatrix counts as
-# numerically singular during training.
+# A label submatrix whose smallest eigenvalue is at most this fraction of
+# its largest counts as numerically singular.
 LABEL_SINGULAR_RTOL = 1e-8
 
 # Jitter added to clamped submatrix eigenvalues when producing the finite
 # surrogate log-determinant for a singular label.
 LABEL_JITTER = 1e-10
 
+# Margin-term masses below this floor have log -inf.
 LOG_FLOOR = 1e-300
+
+# Upper bound on the bytes of the submatrix stack that exhaustive MAP
+# factorizes at once; larger enumerations are split into chunks.
+MAP_CHUNK_BYTES = 1 << 24
 
 
 class InstanceBatch:
@@ -46,19 +52,21 @@ class InstanceBatch:
             [base_similarity_stack(inst, similarity) for inst in instances]
         )
         self.mask = np.zeros((self.n, self.n_items), dtype=bool)
-        by_size = {}
         for row, inst in enumerate(instances):
-            label = inst.label if inst.label is not None else ()
-            self.mask[row, list(label)] = True
-            by_size.setdefault(len(label), []).append(row)
-        self.size_groups = []
-        for size, rows in sorted(by_size.items()):
-            if size == 0:
-                continue
-            labs = np.array(
-                [sorted(np.nonzero(self.mask[r])[0]) for r in rows], dtype=int
-            )
-            self.size_groups.append((size, np.asarray(rows, dtype=int), labs))
+            self.mask[row, list(inst.label or ())] = True
+        self.size_groups = label_groups(self.mask)
+
+
+def label_groups(mask):
+    """Non-empty labels of a (n, N) mask grouped by size, as a list of
+    ``(size, rows, labels)`` with ``labels`` the sorted item indices."""
+    sizes = np.count_nonzero(mask, axis=1)
+    groups = []
+    for size in np.unique(sizes[sizes > 0]):
+        rows = np.nonzero(sizes == size)[0]
+        labs = np.nonzero(mask[rows])[1].reshape(rows.size, size)
+        groups.append((int(size), rows, labs))
+    return groups
 
 
 def stack_instances(dataset, similarity):
@@ -94,47 +102,43 @@ def _batched_inv_from_eigh(evals, evecs):
     return (evecs / evals[:, None, :]) @ np.swapaxes(evecs, -1, -2)
 
 
-def _check_psd(evalsB, batch, context):
+def resolvent_stack(L, indices=None, context=""):
+    """log det(L + I) and (L + I)^{-1} for a (n, N, N) kernel stack.
+
+    Raises NotPositiveSemidefiniteError when some L has an eigenvalue below
+    the rounding band, naming the instance by its entry in ``indices``
+    (its row when omitted).
+    """
+    evalsB, evecsB = np.linalg.eigh(L + np.eye(L.shape[-1]))
     # eigenvalues of L are those of B = L + I shifted down by one
     lam_min = evalsB[:, 0] - 1.0
     scale = np.maximum(np.abs(evalsB[:, 0] - 1.0), np.abs(evalsB[:, -1] - 1.0))
-    floor = -np.maximum(EIG_CLAMP_TOL, 1e-12 * scale)
-    bad = lam_min < floor
+    bad = lam_min < -np.maximum(EIG_CLAMP_TOL, 1e-12 * scale)
     if np.any(bad):
         row = int(np.argmax(bad))
+        name = row if indices is None else int(indices[row])
         raise NotPositiveSemidefiniteError(
-            f"kernel for instance {int(batch.indices[row])} has eigenvalue "
-            f"{lam_min[row]:.3e}{context}"
+            f"kernel for instance {name} has eigenvalue {lam_min[row]:.3e}{context}"
         )
-
-
-def hinge_terms(batch, theta, weights, lam, omega, want_grad, context=""):
-    """Hinge objective pieces and (optionally) its subgradient for one batch.
-
-    Returns ``(value, g_theta, g_weights, n_singular)`` where value sums
-    max(0, -log P(y_n) + lam * log A_n) over the batch.  Instances whose
-    label submatrix is numerically singular get a finite surrogate
-    log-determinant (eigenvalues clamped and jittered) so the objective
-    stays recordable, and contribute only the margin-term gradient.
-    """
-    n, N = batch.n, batch.n_items
-    q, L = build_L_stack(batch, theta, weights)
-    evalsB, evecsB = np.linalg.eigh(L + np.eye(N))
-    _check_psd(evalsB, batch, context)
     evalsB = np.maximum(evalsB, 1.0)
-    logdetB = np.sum(np.log(evalsB), axis=1)
-    invB = _batched_inv_from_eigh(evalsB, evecsB)
-    kdiag = 1.0 - np.diagonal(invB, axis1=1, axis2=2)
+    return np.sum(np.log(evalsB), axis=1), _batched_inv_from_eigh(evalsB, evecsB)
 
-    A = np.sum(np.where(batch.mask, omega * (1.0 - kdiag), kdiag), axis=1)
-    logA = np.full(n, -np.inf)
-    ok = A >= LOG_FLOOR
-    logA[ok] = np.log(A[ok])
 
+def label_terms(L, size_groups, invB=None):
+    """Label log-determinants and, given ``invB``, d log P(y) / dL.
+
+    Returns ``(logdet_y, singular, G)``.  A label whose submatrix has its
+    smallest eigenvalue at most ``LABEL_SINGULAR_RTOL`` times its largest
+    is singular: its log-determinant is a finite surrogate (eigenvalues
+    clamped at zero plus ``LABEL_JITTER``) and its row of G is zero.  For
+    the other rows G is the inverse of L_y zero-padded to N x N, minus
+    ``invB`` = (L + I)^{-1}.  G is None when ``invB`` is.
+    """
+    n = L.shape[0]
     logdet_y = np.zeros(n)
     singular = np.zeros(n, dtype=bool)
-    inv_pad = np.zeros((n, N, N)) if want_grad else None
-    for size, rows, labs in batch.size_groups:
+    inv_pad = None if invB is None else np.zeros_like(L)
+    for size, rows, labs in size_groups:
         sub = L[rows[:, None, None], labs[:, :, None], labs[:, None, :]]
         evals, evecs = np.linalg.eigh(sub)
         sing = evals[:, 0] <= np.maximum(0.0, LABEL_SINGULAR_RTOL * evals[:, -1])
@@ -143,12 +147,73 @@ def hinge_terms(batch, theta, weights, lam, omega, want_grad, context=""):
         )
         logdet_y[rows] = np.sum(np.log(safe), axis=1)
         singular[rows] = sing
-        if want_grad and np.any(~sing):
+        if inv_pad is not None and np.any(~sing):
             keep = ~sing
             inv = _batched_inv_from_eigh(evals[keep], evecs[keep])
             r = rows[keep]
             lb = labs[keep]
             inv_pad[r[:, None, None], lb[:, :, None], lb[:, None, :]] = inv
+    if invB is None:
+        return logdet_y, singular, None
+    G = inv_pad - invB
+    G[singular] = 0.0
+    return logdet_y, singular, G
+
+
+def margin_mass(kdiag, mask, omega):
+    """Loss-weighted incorrect-subset mass A and log A, per row.
+
+    A = sum_{i not in y} K_ii + omega * sum_{i in y} (1 - K_ii), which is
+    sum_y' loss_omega(y, y') P(y') over all subsets; log A is -inf where A
+    underflows ``LOG_FLOOR``.
+    """
+    A = np.sum(np.where(mask, omega * (1.0 - kdiag), kdiag), axis=1)
+    logA = np.full(A.shape, -np.inf)
+    ok = A >= LOG_FLOOR
+    logA[ok] = np.log(A[ok])
+    return A, logA
+
+
+def margin_grad(invB, mask, omega, A, lam=1.0):
+    """d (lam * log A) / dL = (lam / A) * B D B, per row.
+
+    B = (L + I)^{-1} and D is diagonal with -omega on the label and 1 off
+    it; this follows from dK_ii/dL = b_i b_i^T, b_i the i-th column of B.
+    """
+    d = np.where(mask, -omega, 1.0)
+    return (lam / A)[:, None, None] * ((invB * d[:, None, :]) @ invB)
+
+
+def chain_to_params(U, L, q, X, grams):
+    """Chain symmetric gradients dF/dL (m, N, N) to (theta, weights).
+
+    dF/dtheta = sum_ij U_ij L_ij (x_i + x_j) and dF/dw_k = sum_ij U_ij q_i
+    q_j G^k_ij, summed over the stack; ``L``, ``q``, ``X`` and ``grams``
+    are the matching rows of :func:`build_L_stack` and the batch.
+    """
+    r = np.sum(U * L, axis=2)
+    g_theta = 2.0 * np.einsum("mi,mid->d", r, X)
+    qq = q[:, :, None] * q[:, None, :]
+    g_weights = np.einsum("mij,mkij->k", U * qq, grams)
+    return g_theta, g_weights
+
+
+def hinge_terms(batch, theta, weights, lam, omega, want_grad, context=""):
+    """Hinge objective pieces and (optionally) its subgradient for one batch.
+
+    Returns ``(value, g_theta, g_weights, n_singular)`` where value sums
+    max(0, -log P(y_n) + lam * log A_n) over the batch.  Instances whose
+    label is singular (see :func:`label_terms`) enter with the finite
+    surrogate log-determinant, so the objective stays recordable, and
+    contribute only the margin-term gradient.
+    """
+    q, L = build_L_stack(batch, theta, weights)
+    logdetB, invB = resolvent_stack(L, batch.indices, context)
+    logdet_y, singular, G = label_terms(
+        L, batch.size_groups, invB if want_grad else None
+    )
+    kdiag = 1.0 - np.diagonal(invB, axis1=1, axis2=2)
+    A, logA = margin_mass(kdiag, batch.mask, omega)
 
     z = logdetB - logdet_y
     if lam > 0:
@@ -161,21 +226,12 @@ def hinge_terms(batch, theta, weights, lam, omega, want_grad, context=""):
     act = np.nonzero(z > 0)[0]
     if act.size == 0:
         return value, np.zeros_like(theta), np.zeros_like(weights), n_singular
-
-    U = np.zeros((act.size, N, N))
-    ns = ~singular[act]
-    if np.any(ns):
-        U[ns] = invB[act][ns] - inv_pad[act][ns]
+    U = -G[act]
     if lam > 0:
-        d = np.where(batch.mask[act], -omega, 1.0)
-        Ba = invB[act]
-        margin = (Ba * d[:, None, :]) @ Ba
-        U += (lam / A[act])[:, None, None] * margin
-
-    r = np.sum(U * L[act], axis=2)
-    g_theta = 2.0 * np.einsum("mi,mid->d", r, batch.X[act])
-    qq = q[act][:, :, None] * q[act][:, None, :]
-    g_weights = np.einsum("mij,mkij->k", U * qq, batch.grams[act])
+        U += margin_grad(invB[act], batch.mask[act], omega, A[act], lam)
+    g_theta, g_weights = chain_to_params(
+        U, L[act], q[act], batch.X[act], batch.grams[act]
+    )
     return value, g_theta, g_weights, n_singular
 
 
@@ -204,24 +260,34 @@ def _combination_indices(n_items, size):
 
 
 def map_exhaustive_stack(L_stack):
-    """Exhaustive MAP subset for each kernel in a (n, N, N) stack.
+    """Exhaustive MAP subset, a tuple of int, for each kernel of a stack.
 
-    Ties broken exactly as in :func:`dpplearn.inference.map_exhaustive`:
-    smaller subsets first, then lexicographic order.
+    Maximizes det(L_y) over all 2^N subsets of every (N, N) kernel in the
+    (n, N, N) stack; the empty set scores det = 1.  Ties go to the smaller
+    subset, then to the lexicographically first.  The submatrices are
+    factorized in chunks of at most ``MAP_CHUNK_BYTES`` over the instance
+    and combination axes, so memory stays bounded for any n.
     """
     L_stack = np.asarray(L_stack, dtype=float)
     n, N = L_stack.shape[0], L_stack.shape[1]
-    best_val = np.zeros(n)  # empty set: det = 1
-    best_sub = [() for _ in range(n)]
+    best_val = np.zeros(n)  # empty set: log det = 0
+    best_sub = [()] * n
     for size in range(1, N + 1):
         combs = _combination_indices(N, size)
-        sub = L_stack[:, combs[:, :, None], combs[:, None, :]]
-        sign, logdet = np.linalg.slogdet(sub)
-        logdet = np.where(sign > 0, logdet, -np.inf)
-        pick = np.argmax(logdet, axis=1)
-        vals = logdet[np.arange(n), pick]
-        better = vals > best_val
-        for row in np.nonzero(better)[0]:
-            best_val[row] = vals[row]
-            best_sub[row] = tuple(combs[pick[row]])
+        per_comb = size * size * L_stack.itemsize
+        c_step = max(1, MAP_CHUNK_BYTES // per_comb)
+        for c0 in range(0, len(combs), c_step):
+            chunk = combs[c0:c0 + c_step]
+            r_step = max(1, MAP_CHUNK_BYTES // (len(chunk) * per_comb))
+            for r0 in range(0, n, r_step):
+                block = L_stack[r0:r0 + r_step]
+                sub = block[:, chunk[:, :, None], chunk[:, None, :]]
+                sign, logdet = np.linalg.slogdet(sub)
+                logdet = np.where(sign > 0, logdet, -np.inf)
+                pick = np.argmax(logdet, axis=1)
+                vals = logdet[np.arange(len(block)), pick]
+                # strict >: earlier chunks and smaller sizes win ties
+                for i in np.nonzero(vals > best_val[r0:r0 + r_step])[0]:
+                    best_val[r0 + i] = vals[i]
+                    best_sub[r0 + i] = tuple(chunk[pick[i]].tolist())
     return best_sub

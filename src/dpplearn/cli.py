@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -31,14 +32,24 @@ from .harness import (
     DEFAULT_SIGMA_GRID,
     DEFAULT_TRAIN_SIZES,
     ExperimentSpec,
+    predict_subsets,
     run_and_write,
 )
-from .inference import predict_subset
-from .kernel import build_kernel
+# unused here since infer calls predict_subsets; bench/tracing.py wraps cli.predict_subset
+from .inference import predict_subset  # noqa: F401
+from .kernel import (
+    GroundSetInstance,
+    ModelParams,
+    SimilarityConfig,
+    build_kernel,
+    marginal_kernel_from_L,
+)
 from .learning import (
     TrainConfig,
     chain_L_to_params,
     finite_difference_check,
+    grad_loglik_wrt_L,
+    grad_margin_wrt_L,
     instance_objective,
     train,
 )
@@ -111,12 +122,7 @@ def _cmd_gen(args):
             "split": name,
             "seed": synth.seed,
             "true_theta": ds.true_theta.tolist(),
-            "config": {
-                "n_items": synth.n_items, "feature_dim": synth.feature_dim,
-                "noise_prob": synth.noise_prob, "n_train": synth.n_train,
-                "n_holdout": synth.n_holdout, "n_test": synth.n_test,
-                "seed": synth.seed,
-            },
+            "config": asdict(synth),
         }
         serialize.write_instances(out / f"{name}.jsonl", split, header)
     print(f"wrote {out}/train.jsonl, holdout.jsonl, test.jsonl")
@@ -152,10 +158,7 @@ def _cmd_infer(args):
         raise DataFormatError(f"{args.config}: needs 'dataset' and 'model' paths")
     _, instances = serialize.read_instances(data_path)
     params, config, _ = serialize.read_train_result(model_path)
-    preds = []
-    for inst in instances:
-        L = build_kernel(inst, params, config.similarity)
-        preds.append(predict_subset(L, inference))
+    preds = predict_subsets(instances, params, config.similarity, inference)
     out = _out_dir(args)
     serialize.write_predictions(out / "predictions.jsonl", preds)
     print(f"wrote {len(preds)} predictions to {out}/predictions.jsonl")
@@ -225,8 +228,6 @@ def experiment_spec_from_dict(cfg):
 
 def _cmd_gradcheck(args):
     rng = np.random.default_rng(args.seed)
-    from .kernel import GroundSetInstance, SimilarityConfig
-
     sim = SimilarityConfig(bandwidths=(0.8, 2.0), include_linear=True)
     config = TrainConfig(similarity=sim, lam=1.0, omega=2.0)
     worst = 0.0
@@ -243,21 +244,12 @@ def _cmd_gradcheck(args):
         d = theta.size
 
         def f(v):
-            from .kernel import ModelParams
-
             return instance_objective(ModelParams(v[:d], v[d:]), inst, config)
 
         if f(v0) <= 0.05:  # keep clear of the hinge kink
             continue
 
         def grad(v):
-            from .kernel import (
-                ModelParams,
-                build_kernel,
-                marginal_kernel_from_L,
-            )
-            from .learning import grad_loglik_wrt_L, grad_margin_wrt_L
-
             params = ModelParams(v[:d], v[d:])
             L = build_kernel(inst, params, sim)
             K = marginal_kernel_from_L(L)

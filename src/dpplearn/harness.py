@@ -48,19 +48,19 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .batch import build_L_stack, map_exhaustive_stack, stack_instances
 from .errors import ParameterError
-from .inference import InferenceConfig, predict_subset
-from .kernel import ModelParams, SimilarityConfig
+from .inference import InferenceConfig, predict_subset, require_enumerable
+from .kernel import ModelParams, SimilarityConfig, build_kernel
 from .learning import TrainConfig, train
 from .losses import precision_recall_fscore
 from .synth import TRUE_SIMILARITY, SynthConfig, generate_dataset, true_params
 
-EXPERIMENT_KINDS = ("fig1a", "fig1b", "fig1c", "omega_sweep", "custom")
+EXPERIMENT_KINDS = ("fig1a", "fig1b", "fig1c", "omega_sweep")
 
 DEFAULT_TRAIN_SIZES = (100, 200, 400, 800)
 # Bandwidths from well below to well above the unit feature scale.  2^6 and
@@ -128,23 +128,34 @@ class ResultRow:
     runtime: float
 
 
+def predict_subsets(instances, params, similarity, inference):
+    """Predicted subset of every instance, in instance order.
+
+    Exhaustive mode decodes each item-count group in one
+    :func:`map_exhaustive_stack` call; MBR mode decodes instance by
+    instance, every instance with a generator seeded by ``inference.seed``.
+    """
+    instances = list(instances)
+    if inference.mode == "mbr":
+        return [predict_subset(build_kernel(inst, params, similarity), inference)
+                for inst in instances]
+    if not instances:
+        return []
+    preds = [None] * len(instances)
+    for b in stack_instances(instances, similarity):
+        require_enumerable(b.n_items, inference.exhaustive_limit)
+        _, L = build_L_stack(b, params.theta, params.kernel_weights)
+        for pos, pred in zip(b.indices, map_exhaustive_stack(L)):
+            preds[pos] = pred
+    return preds
+
+
 def evaluate_params(instances, params, similarity, inference):
     """Mean precision/recall/F of predictions against instance labels."""
-    scores = []
-    if inference.mode == "exhaustive":
-        for b in stack_instances(list(instances), similarity):
-            _, L = build_L_stack(b, params.theta, params.kernel_weights)
-            for row, pred in enumerate(map_exhaustive_stack(L)):
-                label = tuple(np.nonzero(b.mask[row])[0].tolist())
-                scores.append(precision_recall_fscore(pred, label))
-    else:
-        from .kernel import build_kernel
-
-        for inst in instances:
-            L = build_kernel(inst, params, similarity)
-            pred = predict_subset(L, inference)
-            scores.append(precision_recall_fscore(pred, inst.label))
-    arr = np.array(scores)
+    instances = list(instances)
+    preds = predict_subsets(instances, params, similarity, inference)
+    arr = np.array([precision_recall_fscore(pred, inst.label)
+                    for pred, inst in zip(preds, instances)])
     return tuple(arr.mean(axis=0))
 
 
@@ -199,6 +210,24 @@ def _fit_lme(ds, train_split, spec, train_config, omega_grid=(1.0,)):
     return gs.best_params
 
 
+def _scored_row(experiment, rep, method, cell, fit, ds, similarity, spec):
+    """Parameters from ``fit()`` scored on the test split; the row's runtime
+    covers fitting and scoring."""
+    t0 = time.perf_counter()
+    prf = evaluate_params(ds.test, fit(), similarity, spec.inference)
+    return ResultRow(experiment, rep, method, cell, *prf, time.perf_counter() - t0)
+
+
+def _method_rows(experiment, rep, cell, ds, split, base, spec, suffix=""):
+    """The mle then lme rows that ``spec.methods`` asks for, trained on
+    ``split`` with the ``base`` config."""
+    fits = {"mle": lambda: train(split, replace(base, lam=0.0)).params,
+            "lme": lambda: _fit_lme(ds, split, spec, base)}
+    return [_scored_row(experiment, rep, m + suffix, cell, fits[m], ds,
+                        base.similarity, spec)
+            for m in ("mle", "lme") if m in spec.methods]
+
+
 def run_fig1a(spec):
     """Learning theta only with the true similarity, across training sizes."""
     rows = []
@@ -210,24 +239,9 @@ def run_fig1a(spec):
         oracle = true_params(ds)
         for size in spec.train_sizes:
             split = list(ds.train[:size])
-            t0 = time.perf_counter()
-            prf = evaluate_params(ds.test, oracle, TRUE_SIMILARITY, spec.inference)
-            rows.append(ResultRow("fig1a", rep, "oracle", size, *prf,
-                                  time.perf_counter() - t0))
-            if "mle" in spec.methods:
-                t0 = time.perf_counter()
-                result = train(split, replace(base, lam=0.0))
-                prf = evaluate_params(ds.test, result.params, TRUE_SIMILARITY,
-                                      spec.inference)
-                rows.append(ResultRow("fig1a", rep, "mle", size, *prf,
-                                      time.perf_counter() - t0))
-            if "lme" in spec.methods:
-                t0 = time.perf_counter()
-                params = _fit_lme(ds, split, spec, base)
-                prf = evaluate_params(ds.test, params, TRUE_SIMILARITY,
-                                      spec.inference)
-                rows.append(ResultRow("fig1a", rep, "lme", size, *prf,
-                                      time.perf_counter() - t0))
+            rows.append(_scored_row("fig1a", rep, "oracle", size, lambda: oracle,
+                                    ds, TRUE_SIMILARITY, spec))
+            rows += _method_rows("fig1a", rep, size, ds, split, base, spec)
     return rows
 
 
@@ -240,19 +254,8 @@ def run_fig1b(spec):
         split = list(ds.train)
         for sigma in spec.sigma_grid:
             sim = SimilarityConfig(bandwidths=(sigma,), include_linear=False)
-            base = replace(spec.train, similarity=sim)
-            if "mle" in spec.methods:
-                t0 = time.perf_counter()
-                result = train(split, replace(base, lam=0.0))
-                prf = evaluate_params(ds.test, result.params, sim, spec.inference)
-                rows.append(ResultRow("fig1b", rep, "mle", sigma, *prf,
-                                      time.perf_counter() - t0))
-            if "lme" in spec.methods:
-                t0 = time.perf_counter()
-                params = _fit_lme(ds, split, spec, base)
-                prf = evaluate_params(ds.test, params, sim, spec.inference)
-                rows.append(ResultRow("fig1b", rep, "lme", sigma, *prf,
-                                      time.perf_counter() - t0))
+            rows += _method_rows("fig1b", rep, sigma, ds, split,
+                                 replace(spec.train, similarity=sim), spec)
     return rows
 
 
@@ -275,20 +278,9 @@ def run_fig1c(spec):
         for size in spec.train_sizes:
             split = list(ds.train[:size])
             for sim, suffix in ((mkl_sim, ""), (ds.similarity, "_true_s")):
-                base = replace(spec.train, similarity=sim)
-                if "mle" in spec.methods:
-                    t0 = time.perf_counter()
-                    result = train(split, replace(base, lam=0.0))
-                    prf = evaluate_params(ds.test, result.params, sim,
-                                          spec.inference)
-                    rows.append(ResultRow("fig1c", rep, "mle" + suffix, size,
-                                          *prf, time.perf_counter() - t0))
-                if "lme" in spec.methods:
-                    t0 = time.perf_counter()
-                    params = _fit_lme(ds, split, spec, base)
-                    prf = evaluate_params(ds.test, params, sim, spec.inference)
-                    rows.append(ResultRow("fig1c", rep, "lme" + suffix, size,
-                                          *prf, time.perf_counter() - t0))
+                rows += _method_rows("fig1c", rep, size, ds, split,
+                                     replace(spec.train, similarity=sim), spec,
+                                     suffix)
     return rows
 
 
@@ -310,11 +302,10 @@ def run_omega_sweep(spec):
         ds = generate_dataset(synth)
         split = list(ds.train)
         for omega in spec.omega_grid:
-            t0 = time.perf_counter()
-            result = train(split, replace(base, omega=omega))
-            prf = evaluate_params(ds.test, result.params, sim, spec.inference)
-            rows.append(ResultRow("omega_sweep", rep, "lme", omega, *prf,
-                                  time.perf_counter() - t0))
+            config = replace(base, omega=omega)
+            rows.append(_scored_row("omega_sweep", rep, "lme", omega,
+                                    lambda: train(split, config).params, ds,
+                                    sim, spec))
     cells = summarize(rows)
     pts = sorted((c["recall_mean"], c["precision_mean"]) for c in cells)
     recs = np.array([p[0] for p in pts])
@@ -335,9 +326,7 @@ def run_experiment(spec):
         return run_fig1b(spec), None
     if spec.kind == "fig1c":
         return run_fig1c(spec), None
-    if spec.kind == "omega_sweep":
-        return run_omega_sweep(spec)
-    raise ParameterError(f"experiment kind {spec.kind!r} has no canned runner")
+    return run_omega_sweep(spec)
 
 
 def summarize(rows):
@@ -364,6 +353,7 @@ def summarize(rows):
 
 RESULT_COLUMNS = ("experiment", "replicate", "method", "cell",
                   "precision", "recall", "fscore")
+TIMING_COLUMNS = ("experiment", "replicate", "method", "cell", "runtime")
 SUMMARY_COLUMNS = ("experiment", "method", "cell", "n",
                    "precision_mean", "precision_stderr",
                    "recall_mean", "recall_stderr",
@@ -377,63 +367,17 @@ def _fmt(value):
     return str(value)
 
 
-def write_rows_csv(path, rows):
+def write_csv(path, columns, records):
+    """A header line, then one comma-joined line per record of values."""
     with open(path, "w") as fh:
-        fh.write(",".join(RESULT_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(",".join(_fmt(getattr(r, c)) for c in RESULT_COLUMNS) + "\n")
-
-
-def write_timings_csv(path, rows):
-    with open(path, "w") as fh:
-        fh.write("experiment,replicate,method,cell,runtime\n")
-        for r in rows:
-            fh.write(f"{r.experiment},{r.replicate},{r.method},{_fmt(r.cell)},"
-                     f"{_fmt(r.runtime)}\n")
-
-
-def write_summary_csv(path, cells):
-    with open(path, "w") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for cell in cells:
-            fh.write(",".join(_fmt(cell[c]) for c in SUMMARY_COLUMNS) + "\n")
-
-
-def write_pr_curve_csv(path, pr_points):
-    with open(path, "w") as fh:
-        fh.write("recall,precision\n")
-        for rec, prec in pr_points:
-            fh.write(f"{_fmt(float(rec))},{_fmt(float(prec))}\n")
+        fh.write(",".join(columns) + "\n")
+        for rec in records:
+            fh.write(",".join(_fmt(v) for v in rec) + "\n")
 
 
 def spec_to_dict(spec):
-    from .serialize import train_config_to_dict
-
-    return {
-        "kind": spec.kind,
-        "synth": {
-            "n_items": spec.synth.n_items,
-            "feature_dim": spec.synth.feature_dim,
-            "noise_prob": spec.synth.noise_prob,
-            "n_train": spec.synth.n_train,
-            "n_holdout": spec.synth.n_holdout,
-            "n_test": spec.synth.n_test,
-            "seed": spec.synth.seed,
-        },
-        "train": train_config_to_dict(spec.train),
-        "inference": {
-            "mode": spec.inference.mode,
-            "exhaustive_limit": spec.inference.exhaustive_limit,
-            "mbr_samples": spec.inference.mbr_samples,
-            "seed": spec.inference.seed,
-        },
-        "replicates": spec.replicates,
-        "methods": list(spec.methods),
-        "train_sizes": list(spec.train_sizes),
-        "sigma_grid": list(spec.sigma_grid),
-        "lambda_grid": list(spec.lambda_grid),
-        "omega_grid": list(spec.omega_grid),
-    }
+    """Every field of the spec and of its configs, as JSON-ready data."""
+    return asdict(spec)
 
 
 def write_manifest(path, spec):
@@ -465,10 +409,13 @@ def run_and_write(spec, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows, pr_points = run_experiment(spec)
-    write_rows_csv(out / "results.csv", rows)
-    write_timings_csv(out / "timings.csv", rows)
-    write_summary_csv(out / "summary.csv", summarize(rows))
+    for name, columns in (("results.csv", RESULT_COLUMNS),
+                          ("timings.csv", TIMING_COLUMNS)):
+        write_csv(out / name, columns,
+                  ([getattr(r, c) for c in columns] for r in rows))
+    write_csv(out / "summary.csv", SUMMARY_COLUMNS,
+              ([cell[c] for c in SUMMARY_COLUMNS] for cell in summarize(rows)))
     write_manifest(out / "manifest.json", spec)
     if pr_points is not None:
-        write_pr_curve_csv(out / "pr_curve.csv", pr_points)
+        write_csv(out / "pr_curve.csv", ("recall", "precision"), pr_points)
     return rows

@@ -9,12 +9,11 @@ consensus against the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
+from .batch import map_exhaustive_stack
 from .errors import ParameterError
-from .kernel import log_subset_det
 
 
 @dataclass(frozen=True)
@@ -47,19 +46,17 @@ def map_exhaustive(L, exhaustive_limit=20):
     ParameterError beyond ``exhaustive_limit`` items; use MBR decoding for
     larger ground sets.
     """
-    n = L.n_items
-    if n > exhaustive_limit:
+    require_enumerable(L.n_items, exhaustive_limit)
+    return map_exhaustive_stack(L.matrix[None])[0]
+
+
+def require_enumerable(n_items, exhaustive_limit):
+    """Raise ParameterError when exhaustive MAP may not enumerate n_items."""
+    if n_items > exhaustive_limit:
         raise ParameterError(
-            f"{n} items exceed the exhaustive enumeration limit "
+            f"{n_items} items exceed the exhaustive enumeration limit "
             f"{exhaustive_limit}; use mbr_decode instead"
         )
-    best, best_val = (), 0.0  # empty set: log det = 0
-    for size in range(1, n + 1):
-        for y in combinations(range(n), size):
-            val = log_subset_det(L.matrix, y)
-            if val > best_val:
-                best, best_val = y, val
-    return best
 
 
 def sample_dpp(L, rng):

@@ -215,11 +215,6 @@ class EnsembleKernel:
         """log det(L + I), always finite since eigenvalues are >= 0."""
         return float(np.sum(np.log1p(self.eigenvalues)))
 
-    def resolvent(self):
-        """(L + I)^{-1}, rebuilt from the cached eigendecomposition."""
-        v = self.eigenvectors
-        return (v / (self.eigenvalues + 1.0)) @ v.T
-
 
 @dataclass(frozen=True)
 class MarginalKernel:

@@ -9,6 +9,8 @@ is the loss-weighted probability mass of incorrect subsets, computable in
 closed form from the marginal kernel diagonal.  lam = 0 recovers plain
 maximum likelihood; lam > 0 additionally pushes probability mass away from
 subsets that disagree with the label, weighted by how much they disagree.
+The objective and its gradients are computed in :mod:`dpplearn.batch`; the
+per-instance functions here evaluate it on a stack of one.
 
 Optimization is block-alternating projected subgradient descent: a block
 of steps on theta with the kernel weights fixed, then a block of projected
@@ -25,21 +27,9 @@ import numpy as np
 
 from . import batch as _batch
 from .errors import DegenerateLabelError, NumericalError, ParameterError
-from .kernel import (
-    ModelParams,
-    SimilarityConfig,
-    as_subset,
-    base_similarity_stack,
-    build_kernel,
-    build_quality_vector,
-    log_probability,
-    marginal_kernel_from_L,
-    uniform_params,
-)
+from .kernel import ModelParams, SimilarityConfig, as_subset, uniform_params
 
 logger = logging.getLogger(__name__)
-
-LOG_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -116,6 +106,12 @@ class TrainResult:
     iterations_used: int
 
 
+def _label_mask(y_star, n_items):
+    mask = np.zeros((1, n_items), dtype=bool)
+    mask[0, list(as_subset(y_star, n_items))] = True
+    return mask
+
+
 def softmax_margin_term(K, y_star, omega=1.0):
     """log of the loss-weighted incorrect-subset mass, from K's diagonal.
 
@@ -127,38 +123,39 @@ def softmax_margin_term(K, y_star, omega=1.0):
     if omega <= 0:
         raise ParameterError(f"omega must be positive, got {omega}")
     kdiag = K.diagonal
-    y = as_subset(y_star, kdiag.shape[0])
-    mask = np.zeros(kdiag.shape[0], dtype=bool)
-    mask[list(y)] = True
-    A = float(np.sum(kdiag[~mask]) + omega * np.sum(1.0 - kdiag[mask]))
-    if A < LOG_FLOOR:
-        return -math.inf
-    return math.log(A)
+    _, logA = _batch.margin_mass(
+        kdiag[None], _label_mask(y_star, kdiag.shape[0]), omega
+    )
+    return float(logA[0])
 
 
 def instance_objective(params, instance, config):
     """Hinge objective of one labeled instance under the given parameters.
 
     [ -log P(y; L) + lam * softmax_margin_term ]_+ with L built from the
-    instance features and ``params``.  An impossible label (log P = -inf)
-    yields +inf.
+    instance features and ``params``.  A label whose kernel submatrix is
+    numerically singular (``batch.LABEL_SINGULAR_RTOL``) enters with the
+    trainer's finite surrogate log-determinant, so the value is finite.
     """
-    if instance.label is None:
-        raise ParameterError("instance has no label")
-    L = build_kernel(instance, params, config.similarity)
-    ll = log_probability(L, instance.label)
-    if ll == -math.inf:
-        return math.inf
-    z = -ll
-    if config.lam > 0:
-        K = marginal_kernel_from_L(L)
-        z += config.lam * softmax_margin_term(K, instance.label, config.omega)
-    return max(0.0, z)
+    return total_objective(params, [instance], config)
 
 
 def total_objective(params, dataset, config):
-    """Sum of :func:`instance_objective` over a dataset (0 when empty)."""
-    return sum(instance_objective(params, inst, config) for inst in dataset)
+    """Hinge objective summed over a dataset (0 when empty).
+
+    The value :func:`train` records in ``objective_trace``, without the
+    optional ridge term.
+    """
+    dataset = list(dataset)
+    if not dataset:
+        return 0.0
+    if any(inst.label is None for inst in dataset):
+        raise ParameterError("instance has no label")
+    batches = _batch.stack_instances(dataset, config.similarity)
+    return _batch.dataset_value_and_grad(
+        batches, params.theta, params.kernel_weights, config.lam,
+        config.omega, want_grad=False,
+    )[0]
 
 
 def grad_loglik_wrt_L(L, y_star):
@@ -166,22 +163,18 @@ def grad_loglik_wrt_L(L, y_star):
 
     Equals the submatrix inverse (L_{y*})^{-1} zero-padded back to N x N,
     minus (L + I)^{-1}.  Raises DegenerateLabelError when L_{y*} is
-    numerically singular.
+    singular by the trainer's rule (``batch.LABEL_SINGULAR_RTOL``).
     """
-    y = as_subset(y_star, L.n_items)
-    out = -L.resolvent()
-    if y:
-        sub = L.matrix[np.ix_(y, y)]
-        evals, evecs = np.linalg.eigh(sub)
-        tol = evals[-1] * len(y) * np.finfo(float).eps
-        if evals[0] <= max(tol, 0.0):
-            raise DegenerateLabelError(
-                f"kernel submatrix for label {y} is numerically singular "
-                f"(eigenvalue {evals[0]:.3e})"
-            )
-        inv = (evecs / evals) @ evecs.T
-        out[np.ix_(y, y)] += inv
-    return out
+    mask = _label_mask(y_star, L.n_items)
+    L_stack = L.matrix[None]
+    _, invB = _batch.resolvent_stack(L_stack)
+    _, singular, G = _batch.label_terms(L_stack, _batch.label_groups(mask), invB)
+    if singular[0]:
+        raise DegenerateLabelError(
+            f"kernel submatrix for label {as_subset(y_star)} is numerically "
+            "singular"
+        )
+    return G[0]
 
 
 def grad_margin_wrt_L(L, K, y_star, omega=1.0):
@@ -193,16 +186,12 @@ def grad_margin_wrt_L(L, K, y_star, omega=1.0):
     """
     if omega <= 0:
         raise ParameterError(f"omega must be positive, got {omega}")
-    y = as_subset(y_star, L.n_items)
-    kdiag = K.diagonal
-    mask = np.zeros(L.n_items, dtype=bool)
-    mask[list(y)] = True
-    A = float(np.sum(kdiag[~mask]) + omega * np.sum(1.0 - kdiag[mask]))
-    if A <= 0:
-        raise NumericalError(f"margin-term mass must be positive, got {A!r}")
-    d = np.where(mask, -omega, 1.0)
-    B = L.resolvent()
-    return (B * d) @ B / A
+    mask = _label_mask(y_star, L.n_items)
+    A, _ = _batch.margin_mass(K.diagonal[None], mask, omega)
+    if not A[0] > 0:
+        raise NumericalError(f"margin-term mass must be positive, got {A[0]!r}")
+    _, invB = _batch.resolvent_stack(L.matrix[None])
+    return _batch.margin_grad(invB, mask, omega, A)[0]
 
 
 def chain_L_to_params(instance, params, similarity, upstream):
@@ -218,14 +207,12 @@ def chain_L_to_params(instance, params, similarity, upstream):
         raise ParameterError(
             f"upstream gradient has shape {U.shape}, expected {(n, n)}"
         )
-    q = build_quality_vector(instance, params.theta)
-    grams = base_similarity_stack(instance, similarity)
-    S = np.tensordot(params.kernel_weights, grams, axes=1)
-    L = q[:, None] * q[None, :] * S
-    M = U * L
-    g_theta = instance.quality_features.T @ (M.sum(axis=1) + M.sum(axis=0))
-    g_weights = np.einsum("ij,kij->k", U * (q[:, None] * q[None, :]), grams)
-    return g_theta, g_weights
+    batch = _batch.stack_instances([instance], similarity)[0]
+    q, L = _batch.build_L_stack(batch, params.theta, params.kernel_weights)
+    # L is symmetric, so only the symmetric part of U enters either sum
+    return _batch.chain_to_params(
+        (0.5 * (U + U.T))[None], L, q, batch.X, batch.grams
+    )
 
 
 def project_to_simplex(v):

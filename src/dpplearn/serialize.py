@@ -7,8 +7,7 @@ object with ``"kind": "dpplearn-instances"`` plus free-form metadata
     {"n_items": N,
      "quality_features": [[...], ...],      # N rows of d_q reals
      "similarity_features": [[...], ...],   # N rows of d_s reals
-     "label": [i, ...] or null,
-     ...optional extras such as "noiseless_map"}
+     "label": [i, ...] or null}
 
 Config files are flat ``key = value`` text: one assignment per line,
 values in JSON syntax, ``#`` comments allowed, dotted keys nesting into
@@ -21,6 +20,7 @@ config echo, and the (iteration, objective) trace.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -131,23 +131,9 @@ def inference_config_from_dict(d):
     return InferenceConfig(**dict(d or {}))
 
 
-def _similarity_to_dict(sim):
-    return {"bandwidths": list(sim.bandwidths), "include_linear": sim.include_linear}
-
-
 def train_config_to_dict(config):
-    return {
-        "similarity": _similarity_to_dict(config.similarity),
-        "lam": config.lam,
-        "omega": config.omega,
-        "max_outer_iterations": config.max_outer_iterations,
-        "alternation_block": config.alternation_block,
-        "step_size": config.step_size,
-        "step_decay": config.step_decay,
-        "rel_tolerance": config.rel_tolerance,
-        "l2_theta": config.l2_theta,
-        "seed": config.seed,
-    }
+    """Every TrainConfig field, the similarity as a nested dict."""
+    return asdict(config)
 
 
 def write_train_result(path, result, config):

@@ -148,18 +148,3 @@ def true_params(dataset):
 
     return ModelParams(dataset.true_theta, np.array(TRUE_WEIGHTS))
 
-
-def misspecified_similarity(instance, sigma):
-    """Deliberately wrong similarity: a single RBF on the true features.
-
-    S_ij = exp(-||x_i - x_j||^2 / sigma^2), replacing the linear similarity
-    that actually generated the data, for studying model mis-specification.
-    """
-    if sigma <= 0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
-    x = instance.similarity_features
-    sq = np.sum(x**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return np.exp(-d2 / float(sigma) ** 2)

@@ -79,6 +79,78 @@ def map_exhaustive_reference(L_matrix):
     return best
 
 
+def gram_references(phi, similarity):
+    """Base Gram matrices, one per kernel, from explicit loops over pairs."""
+    n = phi.shape[0]
+    grams = []
+    for sigma in similarity.bandwidths:
+        G = np.empty((n, n))
+        for i in range(n):
+            for j in range(n):
+                G[i, j] = np.exp(-np.sum((phi[i] - phi[j]) ** 2) / sigma**2)
+        grams.append(G)
+    if similarity.include_linear:
+        grams.append(np.array([[float(a @ b) for b in phi] for a in phi]))
+    return grams
+
+
+def kernel_reference(instance, params, similarity):
+    """L_ij = q_i q_j S_ij with S the weighted sum of the reference Grams."""
+    q = np.exp(instance.quality_features @ params.theta)
+    grams = gram_references(instance.similarity_features, similarity)
+    S = sum(w * G for w, G in zip(params.kernel_weights, grams))
+    return np.outer(q, q) * S
+
+
+def _marginal_mass(L_matrix, y, omega):
+    """(L + I)^{-1} by LU, and A = sum_{i not in y} K_ii + omega sum_{i in y} (1 - K_ii)."""
+    B = np.linalg.inv(L_matrix + np.eye(L_matrix.shape[0]))
+    kd = 1.0 - np.diag(B)
+    inside = [i in set(y) for i in range(len(kd))]
+    A = sum(omega * (1.0 - k) if ins else k for k, ins in zip(kd, inside))
+    return B, A
+
+
+def hinge_reference(L_matrix, y, lam, omega):
+    """[ -log P(y; L) + lam * log A ]_+ from LU determinants and inverses."""
+    z = -log_probability_reference(L_matrix, y)
+    if lam > 0:
+        z += lam * np.log(_marginal_mass(L_matrix, y, omega)[1])
+    return max(0.0, z)
+
+
+def loglik_grad_reference(L_matrix, y):
+    """d log P(y; L) / dL = (L_y)^{-1} zero-padded, minus (L + I)^{-1}."""
+    g = -np.linalg.inv(L_matrix + np.eye(L_matrix.shape[0]))
+    if y:
+        g[np.ix_(y, y)] += np.linalg.inv(L_matrix[np.ix_(y, y)])
+    return g
+
+
+def margin_grad_reference(L_matrix, y, omega):
+    """d log A / dL = B D B / A, D = diag(-omega on y, 1 off it)."""
+    B, A = _marginal_mass(L_matrix, y, omega)
+    d = [-omega if i in set(y) else 1.0 for i in range(B.shape[0])]
+    return B @ np.diag(d) @ B / A
+
+
+def chain_reference(instance, params, similarity, U):
+    """(dF/dtheta, dF/dw) from dF/dL = U by the chain rule, entry by entry."""
+    x = instance.quality_features
+    q = np.exp(x @ params.theta)
+    grams = gram_references(instance.similarity_features, similarity)
+    L = kernel_reference(instance, params, similarity)
+    n = x.shape[0]
+    g_theta = np.zeros(x.shape[1])
+    g_weights = np.zeros(len(grams))
+    for i in range(n):
+        for j in range(n):
+            g_theta += U[i, j] * L[i, j] * (x[i] + x[j])
+            for k, G in enumerate(grams):
+                g_weights[k] += U[i, j] * q[i] * q[j] * G[i, j]
+    return g_theta, g_weights
+
+
 def fscore_reference(a, b):
     a, b = set(a), set(b)
     if not a and not b:

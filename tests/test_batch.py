@@ -1,27 +1,33 @@
-"""The vectorized engine must agree exactly with the per-instance ops."""
+"""The vectorized engine must agree with independent per-instance oracles."""
 
 import numpy as np
 import pytest
 
 from conftest import RBF_SIM, make_instance
+from oracles import (
+    chain_reference,
+    hinge_reference,
+    kernel_reference,
+    log_probability_reference,
+    loglik_grad_reference,
+    map_exhaustive_reference,
+    margin_grad_reference,
+)
 
 from dpplearn import (
+    DegenerateLabelError,
+    EnsembleKernel,
     ModelParams,
     TrainConfig,
-    build_kernel,
-    chain_L_to_params,
     grad_loglik_wrt_L,
-    grad_margin_wrt_L,
-    instance_objective,
-    log_probability,
-    map_exhaustive,
-    marginal_kernel_from_L,
     project_to_simplex,
-    total_objective,
 )
+from dpplearn import batch as batch_mod
 from dpplearn.batch import (
     build_L_stack,
     dataset_value_and_grad,
+    label_groups,
+    label_terms,
     map_exhaustive_stack,
     stack_instances,
 )
@@ -45,7 +51,12 @@ def test_value_matches_total_objective(rng, dataset):
         batches, theta, weights, config.lam, config.omega, want_grad=False
     )
     assert n_sing == 0
-    assert val == pytest.approx(total_objective(params, dataset, config), rel=1e-12)
+    ref = sum(
+        hinge_reference(kernel_reference(inst, params, RBF_SIM), inst.label,
+                        config.lam, config.omega)
+        for inst in dataset
+    )
+    assert val == pytest.approx(ref, rel=1e-12)
 
 
 def test_gradient_matches_per_instance_chain(rng, dataset):
@@ -57,16 +68,14 @@ def test_gradient_matches_per_instance_chain(rng, dataset):
     _, g_t, g_w, _ = dataset_value_and_grad(batches, theta, weights, lam, omega)
 
     ref_t, ref_w = np.zeros(3), np.zeros(3)
-    config = TrainConfig(similarity=RBF_SIM, lam=lam, omega=omega)
     for inst in dataset:
-        if instance_objective(params, inst, config) <= 0:
+        L = kernel_reference(inst, params, RBF_SIM)
+        if hinge_reference(L, inst.label, lam, omega) <= 0:
             continue
-        L = build_kernel(inst, params, RBF_SIM)
-        K = marginal_kernel_from_L(L)
-        U = -grad_loglik_wrt_L(L, inst.label) + lam * grad_margin_wrt_L(
-            L, K, inst.label, omega
+        U = -loglik_grad_reference(L, inst.label) + lam * margin_grad_reference(
+            L, inst.label, omega
         )
-        a, b = chain_L_to_params(inst, params, RBF_SIM, U)
+        a, b = chain_reference(inst, params, RBF_SIM, U)
         ref_t += a
         ref_w += b
     assert np.max(np.abs(g_t - ref_t)) < 1e-10
@@ -91,8 +100,9 @@ def test_map_stack_matches_public_op(rng):
     _, L_stack = build_L_stack(batch, theta, weights)
     got = map_exhaustive_stack(L_stack)
     for row, inst in enumerate(data):
-        L = build_kernel(inst, params, RBF_SIM)
-        assert got[row] == map_exhaustive(L)
+        assert got[row] == map_exhaustive_reference(
+            kernel_reference(inst, params, RBF_SIM)
+        )
 
 
 def test_singular_labels_counted_not_fatal(rng):
@@ -123,6 +133,50 @@ def test_log_probability_consistency(rng, dataset):
     batch = stack_instances(dataset, RBF_SIM)[0]
     _, L_stack = build_L_stack(batch, theta, weights)
     for row, inst in enumerate(dataset):
-        L = build_kernel(inst, params, RBF_SIM)
-        assert np.max(np.abs(L_stack[row] - L.matrix)) < 1e-12
-        assert log_probability(L, inst.label) < 0
+        L = kernel_reference(inst, params, RBF_SIM)
+        assert np.max(np.abs(L_stack[row] - L)) < 1e-12
+        assert log_probability_reference(L, inst.label) < 0
+
+
+@pytest.mark.parametrize("delta", [1e-10, 1e-6])
+def test_one_singular_label_rule(delta):
+    # label eigenvalues delta and 2 - delta: singular below 1e-8 relative
+    L = EnsembleKernel.from_matrix(np.array([[1.0, 1.0 - delta, 0.0],
+                                             [1.0 - delta, 1.0, 0.0],
+                                             [0.0, 0.0, 1.0]]))
+    mask = np.array([[True, True, False]])
+    _, singular, _ = label_terms(L.matrix[None], label_groups(mask))
+    assert singular[0] == (delta < 2e-8)
+    if singular[0]:
+        with pytest.raises(DegenerateLabelError):
+            grad_loglik_wrt_L(L, (0, 1))
+    else:
+        assert np.all(np.isfinite(grad_loglik_wrt_L(L, (0, 1))))
+
+
+def test_map_stack_chunks_agree_and_return_ints(rng, monkeypatch):
+    data = [make_instance(rng, n=7) for _ in range(5)]
+    batch = stack_instances(data, RBF_SIM)[0]
+    _, L_stack = build_L_stack(batch, 0.3 * rng.standard_normal(3),
+                               project_to_simplex(rng.random(3)))
+    # two identical items 0 and 1: {0, 2} and {1, 2} tie, {0, 1} is singular
+    dup = np.array([[2.0, 2.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
+    whole = map_exhaustive_stack(L_stack)
+    assert map_exhaustive_stack(dup[None]) == [(0, 2)]
+
+    sizes = []
+    slogdet = np.linalg.slogdet
+
+    def recording_slogdet(a):
+        sizes.append(a.nbytes)
+        return slogdet(a)
+
+    monkeypatch.setattr(np.linalg, "slogdet", recording_slogdet)
+    for budget in (1, 500):
+        monkeypatch.setattr(batch_mod, "MAP_CHUNK_BYTES", budget)
+        sizes.clear()
+        chunked = map_exhaustive_stack(L_stack)
+        assert chunked == whole
+        assert all(type(i) is int for y in chunked for i in y)
+        assert max(sizes) <= max(budget, 7 * 7 * 8)
+        assert map_exhaustive_stack(dup[None]) == [(0, 2)]

@@ -122,6 +122,11 @@ class TestExperiments:
         with pytest.raises(ParameterError):
             tiny_spec(kind="fig9")
 
+    def test_custom_kind_rejected_at_construction(self):
+        # no runner exists for it, so the spec must not validate
+        with pytest.raises(ParameterError):
+            ExperimentSpec(kind="custom")
+
     def test_fig1c_bank_must_contain_generating_bandwidth(self):
         # fig1c labels come from the RBF at FIG1C_SIGMA; a bank without it
         # could not express the true similarity

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -113,6 +114,23 @@ class TestTrainResultFiles:
         assert got_config == config
         assert got_result.objective_trace == result.objective_trace
         assert got_result.converged and got_result.iterations_used == 3
+
+    def test_every_config_field_roundtrips(self, tmp_path):
+        config = TrainConfig(
+            similarity=SimilarityConfig((0.5, 2.0), False), lam=1.5, omega=2.5,
+            max_outer_iterations=7, alternation_block=2, step_size=0.25,
+            step_decay="constant", rel_tolerance=1e-5, grad_clip=3.0,
+            l2_theta=0.1, seed=4,
+        )
+        default = TrainConfig()
+        for f in dataclasses.fields(TrainConfig):
+            assert getattr(config, f.name) != getattr(default, f.name), f.name
+        params = ModelParams(np.array([0.5, -1.0]), np.array([0.25, 0.75]))
+        path = tmp_path / "result.json"
+        serialize.write_train_result(
+            path, TrainResult(params, (1.0,), False, 1), config
+        )
+        assert serialize.read_train_result(path)[1] == config
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "r.json"

@@ -7,9 +7,9 @@ from dpplearn import (
     SynthConfig,
     TRUE_SIMILARITY,
     generate_dataset,
-    misspecified_similarity,
     true_params,
 )
+from dpplearn.kernel import base_similarity_stack
 from dpplearn.batch import build_L_stack, map_exhaustive_stack, stack_instances
 
 
@@ -94,37 +94,34 @@ class TestGenerateDataset:
 
 
 class TestMisspecifiedSimilarity:
+    """fig1b's mis-specified similarity: one RBF through base_similarity_stack."""
+
+    @staticmethod
+    def rbf(instance, sigma):
+        config = SimilarityConfig(bandwidths=(sigma,), include_linear=False)
+        return base_similarity_stack(instance, config)[0]
+
     def test_unit_diagonal(self):
         ds = generate_dataset(SMALL)
-        S = misspecified_similarity(ds.train[0], 2.0)
+        S = self.rbf(ds.train[0], 2.0)
         assert np.allclose(np.diag(S), 1.0)
         assert np.array_equal(S, S.T)
 
     def test_huge_bandwidth_saturates(self):
         ds = generate_dataset(SMALL)
-        S = misspecified_similarity(ds.train[0], 1e6)
+        S = self.rbf(ds.train[0], 1e6)
         assert S.min() > 0.999999
 
-    def test_known_value(self):
-        from dpplearn import GroundSetInstance
-
-        inst = GroundSetInstance(np.zeros((2, 1)),
-                                 np.array([[0.0], [1.0]]))
-        S = misspecified_similarity(inst, 1.0)
-        assert S[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-12)
-
     def test_equals_single_rbf_config(self):
-        from dpplearn import SimilarityConfig, build_similarity_matrix
+        from oracles import gram_references
 
         ds = generate_dataset(SMALL)
         inst = ds.train[3]
         sigma = 1.7
         cfg = SimilarityConfig(bandwidths=(sigma,), include_linear=False)
-        direct = misspecified_similarity(inst, sigma)
-        via_config = build_similarity_matrix(inst, cfg, [1.0])
-        assert np.max(np.abs(direct - via_config)) < 1e-12
+        direct = gram_references(inst.similarity_features, cfg)[0]
+        assert np.max(np.abs(direct - self.rbf(inst, sigma))) < 1e-12
 
     def test_rejects_bad_sigma(self):
-        ds = generate_dataset(SMALL)
         with pytest.raises(ParameterError):
-            misspecified_similarity(ds.train[0], 0.0)
+            SimilarityConfig(bandwidths=(0.0,), include_linear=False)

@@ -52,6 +52,18 @@ class TestTrain:
         recomputed = total_objective(result.params, data, config)
         assert result.objective_trace[-1] == pytest.approx(recomputed, rel=1e-10)
 
+    def test_total_objective_is_the_recorded_objective(self):
+        # seed-0 synthetic training labels include singular ones, which the
+        # trainer records through its finite surrogate
+        from dpplearn import SynthConfig, generate_dataset
+
+        data = list(generate_dataset(SynthConfig(seed=0)).train)
+        config = TrainConfig(lam=1.0, max_outer_iterations=5)
+        result = train(data, config)
+        assert total_objective(result.params, data, config) == pytest.approx(
+            result.objective_trace[-1], rel=1e-12
+        )
+
     def test_weights_stay_on_simplex(self, rng):
         data = small_dataset(rng)
         config = TrainConfig(similarity=RBF_SIM, lam=2.0, max_outer_iterations=25)
