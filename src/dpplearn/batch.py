@@ -9,7 +9,10 @@ into contiguous arrays and pushes the work through batched LAPACK calls.
 Every formula is defined here once.  The per-instance functions in
 :mod:`dpplearn.learning` and :mod:`dpplearn.inference` call it with a
 stack of one; slow, independent reference implementations live in the
-test suite's ``oracles.py``.
+test suite's ``oracles.py``.  The assembly of L, the PSD rule and the
+singular-label rule are those of the per-instance kernel API:
+:func:`dpplearn.kernel.kernel_stack`, ``clamp_psd_stack`` and
+``label_spectra``.
 """
 
 from __future__ import annotations
@@ -19,16 +22,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import NotPositiveSemidefiniteError, ParameterError
-from .kernel import EIG_CLAMP_TOL, base_similarity_stack
-
-# A label submatrix whose smallest eigenvalue is at most this fraction of
-# its largest counts as numerically singular.
-LABEL_SINGULAR_RTOL = 1e-8
-
-# Jitter added to clamped submatrix eigenvalues when producing the finite
-# surrogate log-determinant for a singular label.
-LABEL_JITTER = 1e-10
+from .errors import ParameterError
+from .kernel import (
+    base_similarity_stack,
+    clamp_psd_stack,
+    kernel_stack,
+    label_spectra,
+    quality_stack,
+)
 
 # Margin-term masses below this floor have log -inf.
 LOG_FLOOR = 1e-300
@@ -92,10 +93,8 @@ def stack_instances(dataset, similarity):
 
 def build_L_stack(batch, theta, weights):
     """Qualities (n, N) and kernels (n, N, N) for every instance in a batch."""
-    q = np.exp(batch.X @ theta)
-    S = np.einsum("k,nkij->nij", weights, batch.grams)
-    L = q[:, :, None] * q[:, None, :] * S
-    return q, L
+    q = quality_stack(batch.X, theta)
+    return q, kernel_stack(q, batch.grams, weights)
 
 
 def _batched_inv_from_eigh(evals, evecs):
@@ -105,21 +104,13 @@ def _batched_inv_from_eigh(evals, evecs):
 def resolvent_stack(L, indices=None, context=""):
     """log det(L + I) and (L + I)^{-1} for a (n, N, N) kernel stack.
 
-    Raises NotPositiveSemidefiniteError when some L has an eigenvalue below
-    the rounding band, naming the instance by its entry in ``indices``
-    (its row when omitted).
+    Raises NotPositiveSemidefiniteError when some L fails the PSD rule of
+    :func:`~dpplearn.kernel.clamp_psd_stack`, naming the instance by its
+    entry in ``indices``.
     """
     evalsB, evecsB = np.linalg.eigh(L + np.eye(L.shape[-1]))
     # eigenvalues of L are those of B = L + I shifted down by one
-    lam_min = evalsB[:, 0] - 1.0
-    scale = np.maximum(np.abs(evalsB[:, 0] - 1.0), np.abs(evalsB[:, -1] - 1.0))
-    bad = lam_min < -np.maximum(EIG_CLAMP_TOL, 1e-12 * scale)
-    if np.any(bad):
-        row = int(np.argmax(bad))
-        name = row if indices is None else int(indices[row])
-        raise NotPositiveSemidefiniteError(
-            f"kernel for instance {name} has eigenvalue {lam_min[row]:.3e}{context}"
-        )
+    clamp_psd_stack(evalsB - 1.0, indices, context)
     evalsB = np.maximum(evalsB, 1.0)
     return np.sum(np.log(evalsB), axis=1), _batched_inv_from_eigh(evalsB, evecsB)
 
@@ -127,12 +118,11 @@ def resolvent_stack(L, indices=None, context=""):
 def label_terms(L, size_groups, invB=None):
     """Label log-determinants and, given ``invB``, d log P(y) / dL.
 
-    Returns ``(logdet_y, singular, G)``.  A label whose submatrix has its
-    smallest eigenvalue at most ``LABEL_SINGULAR_RTOL`` times its largest
-    is singular: its log-determinant is a finite surrogate (eigenvalues
-    clamped at zero plus ``LABEL_JITTER``) and its row of G is zero.  For
-    the other rows G is the inverse of L_y zero-padded to N x N, minus
-    ``invB`` = (L + I)^{-1}.  G is None when ``invB`` is.
+    Returns ``(logdet_y, singular, G)``.  A label that is singular by
+    :func:`~dpplearn.kernel.label_spectra` has the finite surrogate
+    log-determinant and a zero row of G.  For the other rows G is the
+    inverse of L_y zero-padded to N x N, minus ``invB`` = (L + I)^{-1}.
+    G is None when ``invB`` is.
     """
     n = L.shape[0]
     logdet_y = np.zeros(n)
@@ -140,12 +130,8 @@ def label_terms(L, size_groups, invB=None):
     inv_pad = None if invB is None else np.zeros_like(L)
     for size, rows, labs in size_groups:
         sub = L[rows[:, None, None], labs[:, :, None], labs[:, None, :]]
-        evals, evecs = np.linalg.eigh(sub)
-        sing = evals[:, 0] <= np.maximum(0.0, LABEL_SINGULAR_RTOL * evals[:, -1])
-        safe = np.where(
-            sing[:, None], np.maximum(evals, 0.0) + LABEL_JITTER, evals
-        )
-        logdet_y[rows] = np.sum(np.log(safe), axis=1)
+        logdet, sing, evals, evecs = label_spectra(sub)
+        logdet_y[rows] = logdet
         singular[rows] = sing
         if inv_pad is not None and np.any(~sing):
             keep = ~sing

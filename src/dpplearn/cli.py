@@ -10,8 +10,9 @@ Subcommands::
     dpplearn gradcheck  --n 6 --trials 20
 
 Config files are flat ``key = value`` text (JSON values, dotted keys for
-nesting); ``--seed`` overrides any seed in the config.  Exit codes:
-0 success, 1 usage error, 2 data error, 3 numerical failure.
+nesting); an unknown or mistyped key is a data error.  ``--seed``
+overrides any seed in the config.  Exit codes: 0 success, 1 usage error,
+2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -26,15 +27,8 @@ import numpy as np
 
 from . import __version__, serialize
 from .errors import DataFormatError, NumericalError, ParameterError
-from .harness import (
-    DEFAULT_LAMBDA_GRID,
-    DEFAULT_OMEGA_GRID,
-    DEFAULT_SIGMA_GRID,
-    DEFAULT_TRAIN_SIZES,
-    ExperimentSpec,
-    predict_subsets,
-    run_and_write,
-)
+from .harness import ExperimentSpec, predict_subsets, run_and_write, write_csv
+from .inference import InferenceConfig
 # unused here since infer calls predict_subsets; bench/tracing.py wraps cli.predict_subset
 from .inference import predict_subset  # noqa: F401
 from .kernel import (
@@ -54,7 +48,7 @@ from .learning import (
     train,
 )
 from .losses import precision_recall_fscore
-from .synth import generate_dataset
+from .synth import SynthConfig, generate_dataset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -97,11 +91,20 @@ def _build_parser():
     return parser
 
 
-def _load_config(path):
-    p = Path(path)
+def _read_config(args, defaults, seed_section=None):
+    """``defaults`` updated by the config file, which must set every path
+    that defaults to ""; ``--seed`` overrides the seed of ``seed_section``."""
+    p = Path(args.config)
     if not p.exists():
         raise DataFormatError(f"config file not found: {p}")
-    return serialize.parse_config(p)
+    cfg = serialize.config_from_dict(defaults, serialize.parse_config(p))
+    if seed_section and args.seed is not None:
+        cfg = serialize.config_from_dict(cfg, {seed_section: {"seed": args.seed}})
+    if isinstance(cfg, dict):
+        missing = [repr(k) for k, v in cfg.items() if v == ""]
+        if missing:
+            raise DataFormatError(f"{p}: needs a path for {' and '.join(missing)}")
+    return cfg
 
 
 def _out_dir(args):
@@ -111,10 +114,7 @@ def _out_dir(args):
 
 
 def _cmd_gen(args):
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg.setdefault("synth", {})["seed"] = args.seed
-    synth = serialize.synth_config_from_dict(cfg.get("synth", {}))
+    synth = _read_config(args, {"synth": SynthConfig()}, "synth")["synth"]
     ds = generate_dataset(synth)
     out = _out_dir(args)
     for name, split in ds.splits.items():
@@ -130,17 +130,11 @@ def _cmd_gen(args):
 
 
 def _cmd_train(args):
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg.setdefault("train", {})["seed"] = args.seed
-    config = serialize.train_config_from_dict(cfg.get("train", {}))
-    data_path = cfg.get("dataset")
-    if not data_path:
-        raise DataFormatError(f"{args.config}: missing 'dataset' path")
-    _, instances = serialize.read_instances(data_path)
-    result = train(instances, config)
+    cfg = _read_config(args, {"dataset": "", "train": TrainConfig()}, "train")
+    _, instances = serialize.read_instances(cfg["dataset"])
+    result = train(instances, cfg["train"])
     out = _out_dir(args)
-    serialize.write_train_result(out / "train_result.json", result, config)
+    serialize.write_train_result(out / "train_result.json", result, cfg["train"])
     print(f"trained on {len(instances)} instances, "
           f"{result.iterations_used} iterations, "
           f"final objective {result.objective_trace[-1]!r}")
@@ -148,17 +142,13 @@ def _cmd_train(args):
 
 
 def _cmd_infer(args):
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg.setdefault("inference", {})["seed"] = args.seed
-    inference = serialize.inference_config_from_dict(cfg.get("inference", {}))
-    data_path = cfg.get("dataset")
-    model_path = cfg.get("model")
-    if not data_path or not model_path:
-        raise DataFormatError(f"{args.config}: needs 'dataset' and 'model' paths")
-    _, instances = serialize.read_instances(data_path)
-    params, config, _ = serialize.read_train_result(model_path)
-    preds = predict_subsets(instances, params, config.similarity, inference)
+    cfg = _read_config(
+        args, {"dataset": "", "model": "", "inference": InferenceConfig()},
+        "inference",
+    )
+    _, instances = serialize.read_instances(cfg["dataset"])
+    params, config, _ = serialize.read_train_result(cfg["model"])
+    preds = predict_subsets(instances, params, config.similarity, cfg["inference"])
     out = _out_dir(args)
     serialize.write_predictions(out / "predictions.jsonl", preds)
     print(f"wrote {len(preds)} predictions to {out}/predictions.jsonl")
@@ -166,13 +156,9 @@ def _cmd_infer(args):
 
 
 def _cmd_eval(args):
-    cfg = _load_config(args.config)
-    data_path = cfg.get("dataset")
-    pred_path = cfg.get("predictions")
-    if not data_path or not pred_path:
-        raise DataFormatError(f"{args.config}: needs 'dataset' and 'predictions' paths")
-    _, instances = serialize.read_instances(data_path)
-    preds = serialize.read_predictions(pred_path)
+    cfg = _read_config(args, {"dataset": "", "predictions": ""})
+    _, instances = serialize.read_instances(cfg["dataset"])
+    preds = serialize.read_predictions(cfg["predictions"])
     if len(preds) != len(instances):
         raise DataFormatError(
             f"{len(preds)} predictions for {len(instances)} instances"
@@ -183,10 +169,8 @@ def _cmd_eval(args):
             raise DataFormatError("eval requires labeled instances")
         rows.append(precision_recall_fscore(pred, inst.label))
     out = _out_dir(args)
-    with open(out / "scores.csv", "w") as fh:
-        fh.write("index,precision,recall,fscore\n")
-        for i, s in enumerate(rows):
-            fh.write(f"{i},{s.precision!r},{s.recall!r},{s.fscore!r}\n")
+    write_csv(out / "scores.csv", ("index", "precision", "recall", "fscore"),
+              ((i, *s) for i, s in enumerate(rows)))
     arr = np.array(rows)
     means = arr.mean(axis=0)
     with open(out / "scores_summary.json", "w") as fh:
@@ -199,31 +183,10 @@ def _cmd_eval(args):
 
 
 def _cmd_experiment(args):
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg.setdefault("synth", {})["seed"] = args.seed
-    spec = experiment_spec_from_dict(cfg)
+    spec = _read_config(args, ExperimentSpec(), "synth")
     rows = run_and_write(spec, args.out_dir)
     print(f"{spec.kind}: wrote {len(rows)} result rows to {args.out_dir}")
     return EXIT_OK
-
-
-def experiment_spec_from_dict(cfg):
-    cfg = dict(cfg)
-    return ExperimentSpec(
-        kind=cfg.get("kind", "fig1a"),
-        synth=serialize.synth_config_from_dict(cfg.get("synth", {})),
-        train=serialize.train_config_from_dict(
-            {"rel_tolerance": 1e-9, **cfg.get("train", {})}
-        ),
-        inference=serialize.inference_config_from_dict(cfg.get("inference", {})),
-        replicates=cfg.get("replicates", 10),
-        methods=tuple(cfg.get("methods", ("mle", "lme"))),
-        train_sizes=tuple(cfg.get("train_sizes", DEFAULT_TRAIN_SIZES)),
-        sigma_grid=tuple(cfg.get("sigma_grid", DEFAULT_SIGMA_GRID)),
-        lambda_grid=tuple(cfg.get("lambda_grid", DEFAULT_LAMBDA_GRID)),
-        omega_grid=tuple(cfg.get("omega_grid", DEFAULT_OMEGA_GRID)),
-    )
 
 
 def _cmd_gradcheck(args):

@@ -28,7 +28,8 @@ Every experiment writes into its output directory:
   experiment,replicate,method,cell,precision,recall,fscore
 * ``summary.csv`` - per cell: mean and standard error (sample std over
   replicates / sqrt(replicates)) of each metric
-* ``manifest.json`` - config echo, seed, package and library versions
+* ``manifest.json`` - config echo, the similarity that generated the
+  labels, seed, package and library versions
 * ``timings.csv`` - wall-clock seconds per row; the one file excluded from
   the byte-identical determinism guarantee
 * ``pr_curve.csv`` (omega sweep only) - interpolated precision/recall
@@ -49,13 +50,15 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .batch import build_L_stack, map_exhaustive_stack, stack_instances
 from .errors import ParameterError
 from .inference import InferenceConfig, predict_subset, require_enumerable
-from .kernel import ModelParams, SimilarityConfig, build_kernel
+from .kernel import EnsembleKernel, ModelParams, SimilarityConfig
 from .learning import TrainConfig, train
 from .losses import precision_recall_fscore
 from .synth import TRUE_SIMILARITY, SynthConfig, generate_dataset, true_params
@@ -131,21 +134,24 @@ class ResultRow:
 def predict_subsets(instances, params, similarity, inference):
     """Predicted subset of every instance, in instance order.
 
-    Exhaustive mode decodes each item-count group in one
-    :func:`map_exhaustive_stack` call; MBR mode decodes instance by
-    instance, every instance with a generator seeded by ``inference.seed``.
+    The kernels of each item-count group are built in one
+    :func:`build_L_stack` call.  Exhaustive mode decodes the group in one
+    :func:`map_exhaustive_stack` call; MBR mode decodes kernel by kernel,
+    every kernel with a generator seeded by ``inference.seed``.
     """
     instances = list(instances)
-    if inference.mode == "mbr":
-        return [predict_subset(build_kernel(inst, params, similarity), inference)
-                for inst in instances]
     if not instances:
         return []
     preds = [None] * len(instances)
     for b in stack_instances(instances, similarity):
-        require_enumerable(b.n_items, inference.exhaustive_limit)
         _, L = build_L_stack(b, params.theta, params.kernel_weights)
-        for pos, pred in zip(b.indices, map_exhaustive_stack(L)):
+        if inference.mode == "mbr":
+            subsets = [predict_subset(EnsembleKernel.from_matrix(M), inference)
+                       for M in L]
+        else:
+            require_enumerable(b.n_items, inference.exhaustive_limit)
+            subsets = map_exhaustive_stack(L)
+        for pos, pred in zip(b.indices, subsets):
             preds[pos] = pred
     return preds
 
@@ -191,23 +197,20 @@ def grid_search(train_split, holdout_split, lambda_grid, omega_grid,
             holdout_split, result.params, config.similarity, inference
         )[2]
         table.append((lam, om, score))
-        if best is None or score > best.best_holdout_fscore:
-            best = GridSearchResult(config, result.params, score, ())
-    return GridSearchResult(
-        best.best_config, best.best_params, best.best_holdout_fscore, tuple(table)
-    )
+        if best is None or score > best[2]:
+            best = (config, result.params, score)
+    return GridSearchResult(*best, tuple(table))
 
 
-def _rep_seed(spec, replicate):
-    return spec.synth.seed + replicate
+def _generating_similarity(kind):
+    return FIG1C_SIMILARITY if kind == "fig1c" else TRUE_SIMILARITY
 
 
-def _fit_lme(ds, train_split, spec, train_config, omega_grid=(1.0,)):
-    gs = grid_search(
-        train_split, list(ds.holdout), spec.lambda_grid, omega_grid,
-        train_config, spec.inference,
-    )
-    return gs.best_params
+def _replicate_dataset(spec, rep, n_train):
+    """Replicate ``rep``'s data: dataset seed ``synth.seed + rep``, labels
+    from the experiment kind's generating similarity."""
+    synth = replace(spec.synth, n_train=n_train, seed=spec.synth.seed + rep)
+    return generate_dataset(synth, _generating_similarity(spec.kind))
 
 
 def _scored_row(experiment, rep, method, cell, fit, ds, similarity, spec):
@@ -222,7 +225,8 @@ def _method_rows(experiment, rep, cell, ds, split, base, spec, suffix=""):
     """The mle then lme rows that ``spec.methods`` asks for, trained on
     ``split`` with the ``base`` config."""
     fits = {"mle": lambda: train(split, replace(base, lam=0.0)).params,
-            "lme": lambda: _fit_lme(ds, split, spec, base)}
+            "lme": lambda: grid_search(split, list(ds.holdout), spec.lambda_grid,
+                                       (1.0,), base, spec.inference).best_params}
     return [_scored_row(experiment, rep, m + suffix, cell, fits[m], ds,
                         base.similarity, spec)
             for m in ("mle", "lme") if m in spec.methods]
@@ -234,8 +238,7 @@ def run_fig1a(spec):
     n_max = max(spec.train_sizes)
     base = replace(spec.train, similarity=TRUE_SIMILARITY)
     for rep in range(spec.replicates):
-        synth = replace(spec.synth, n_train=n_max, seed=_rep_seed(spec, rep))
-        ds = generate_dataset(synth)
+        ds = _replicate_dataset(spec, rep, n_max)
         oracle = true_params(ds)
         for size in spec.train_sizes:
             split = list(ds.train[:size])
@@ -249,8 +252,7 @@ def run_fig1b(spec):
     """Learning theta only under mis-specified RBF similarity, per sigma."""
     rows = []
     for rep in range(spec.replicates):
-        synth = replace(spec.synth, seed=_rep_seed(spec, rep))
-        ds = generate_dataset(synth)
+        ds = _replicate_dataset(spec, rep, spec.synth.n_train)
         split = list(ds.train)
         for sigma in spec.sigma_grid:
             sim = SimilarityConfig(bandwidths=(sigma,), include_linear=False)
@@ -273,8 +275,7 @@ def run_fig1c(spec):
     mkl_sim = SimilarityConfig(bandwidths=tuple(spec.sigma_grid),
                                include_linear=False)
     for rep in range(spec.replicates):
-        synth = replace(spec.synth, n_train=n_max, seed=_rep_seed(spec, rep))
-        ds = generate_dataset(synth, FIG1C_SIMILARITY)
+        ds = _replicate_dataset(spec, rep, n_max)
         for size in spec.train_sizes:
             split = list(ds.train[:size])
             for sim, suffix in ((mkl_sim, ""), (ds.similarity, "_true_s")):
@@ -298,8 +299,7 @@ def run_omega_sweep(spec):
     base = replace(spec.train, similarity=sim)
     rows = []
     for rep in range(spec.replicates):
-        synth = replace(spec.synth, seed=_rep_seed(spec, rep))
-        ds = generate_dataset(synth)
+        ds = _replicate_dataset(spec, rep, spec.synth.n_train)
         split = list(ds.train)
         for omega in spec.omega_grid:
             config = replace(base, omega=omega)
@@ -320,13 +320,11 @@ def run_omega_sweep(spec):
 
 
 def run_experiment(spec):
-    if spec.kind == "fig1a":
-        return run_fig1a(spec), None
-    if spec.kind == "fig1b":
-        return run_fig1b(spec), None
-    if spec.kind == "fig1c":
-        return run_fig1c(spec), None
-    return run_omega_sweep(spec)
+    """``(rows, pr_points)``; pr_points is None except for omega_sweep."""
+    if spec.kind == "omega_sweep":
+        return run_omega_sweep(spec)
+    runner = {"fig1a": run_fig1a, "fig1b": run_fig1b, "fig1c": run_fig1c}[spec.kind]
+    return runner(spec), None
 
 
 def summarize(rows):
@@ -384,9 +382,10 @@ def write_manifest(path, spec):
     doc = {
         "kind": "dpplearn-manifest",
         "seed": spec.synth.seed,
+        "generating_similarity": asdict(_generating_similarity(spec.kind)),
         "spec": spec_to_dict(spec),
         "versions": {
-            "dpplearn": _package_version(),
+            "dpplearn": __version__,
             "numpy": np.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
@@ -396,16 +395,8 @@ def write_manifest(path, spec):
         fh.write("\n")
 
 
-def _package_version():
-    from . import __version__
-
-    return __version__
-
-
 def run_and_write(spec, out_dir):
     """Run an experiment and write all output files into ``out_dir``."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows, pr_points = run_experiment(spec)

@@ -30,12 +30,17 @@ import numpy as np
 
 from .errors import NotPositiveSemidefiniteError, ParameterError
 
-# Eigenvalues of L in [-EIG_CLAMP_TOL, 0) are treated as rounding noise and
-# clamped to zero; anything lower means the caller supplied a broken S.
+# Negative eigenvalues of L down to -EIG_CLAMP_TOL (lower on large spectra)
+# are rounding noise and clamped to zero; see clamp_psd_stack.
 EIG_CLAMP_TOL = 1e-6
 
-# det(L_y) at or below this floor is reported as log-probability -inf.
-DET_UNDERFLOW_FLOOR = 1e-300
+# A label submatrix whose smallest eigenvalue is at most this fraction of
+# its largest counts as numerically singular.
+LABEL_SINGULAR_RTOL = 1e-8
+
+# Jitter added to clamped submatrix eigenvalues when producing the finite
+# surrogate log-determinant for a singular label.
+LABEL_JITTER = 1e-10
 
 # Loose enough that finite-difference probes (step ~1e-5) of the objective
 # remain inside the accepted domain; tight enough to catch real mistakes.
@@ -183,9 +188,9 @@ def split_kernel_weights(weights, similarity):
 class EnsembleKernel:
     """The N x N DPP kernel L with its eigendecomposition cached.
 
-    Construct via :func:`assemble_L` or :meth:`from_matrix`.  Eigenvalues in
-    [-1e-6, 0) are clamped to zero (rounding repair); lower values raise
-    NotPositiveSemidefiniteError.  Instances are immutable.
+    Construct via :func:`assemble_L` or :meth:`from_matrix`.  The spectrum
+    passes the trainer's PSD rule, :func:`clamp_psd_stack`, which clamps
+    rounding noise to zero.  Instances are immutable.
     """
 
     __slots__ = ("matrix", "eigenvalues", "eigenvectors")
@@ -204,8 +209,7 @@ class EnsembleKernel:
         if L.size and np.max(np.abs(L - L.T)) > tol:
             raise ParameterError("kernel matrix is not symmetric")
         evals, evecs = np.linalg.eigh(L)
-        evals = clamp_psd_eigenvalues(evals)
-        return cls(L, evals, evecs)
+        return cls(L, clamp_psd_eigenvalues(evals), evecs)
 
     @property
     def n_items(self):
@@ -230,24 +234,30 @@ class MarginalKernel:
         return self.matrix.diagonal()
 
 
-def clamp_psd_eigenvalues(evals, tol=EIG_CLAMP_TOL):
-    """Zero small negative eigenvalues; reject genuinely negative spectra.
+def clamp_psd_stack(evals, indices=None, context="", tol=EIG_CLAMP_TOL):
+    """The PSD rule for a stack of kernel spectra, one row per kernel.
 
-    The error threshold is -max(tol, 1e-12 * max|eig|): absolute for
-    unit-scale kernels, relative once the spectrum is large enough that
-    rounding noise alone exceeds ``tol``.
+    Returns the eigenvalues clamped at zero.  A row with an eigenvalue
+    below -max(tol, 1e-12 max|eig|), absolute for unit-scale kernels and
+    relative for large spectra, raises NotPositiveSemidefiniteError that
+    names the kernel by its entry in ``indices`` when given.
     """
     evals = np.asarray(evals, dtype=float)
-    if evals.size == 0:
-        return evals
-    floor = -max(tol, 1e-12 * float(np.max(np.abs(evals))))
-    lowest = float(np.min(evals))
-    if lowest < floor:
+    lowest = np.min(evals, axis=-1, initial=np.inf)
+    floor = -np.maximum(tol, 1e-12 * np.max(np.abs(evals), axis=-1, initial=0.0))
+    bad = lowest < floor
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        name = "" if indices is None else f" for instance {int(indices[row])}"
         raise NotPositiveSemidefiniteError(
-            f"kernel has eigenvalue {lowest:.3e} below tolerance {floor:.3e}; "
-            "the similarity matrix is not positive semidefinite"
-        )
+            f"kernel{name} has eigenvalue {lowest[row]:.3e} below tolerance "
+            f"{floor[row]:.3e}{context}: it is not positive semidefinite")
     return np.maximum(evals, 0.0)
+
+
+def clamp_psd_eigenvalues(evals, tol=EIG_CLAMP_TOL):
+    """:func:`clamp_psd_stack` for the spectrum of a single kernel."""
+    return clamp_psd_stack(np.asarray(evals, dtype=float)[None], tol=tol)[0]
 
 
 def base_similarity_stack(instance, config):
@@ -272,6 +282,22 @@ def base_similarity_stack(instance, config):
     return grams
 
 
+def quality_stack(X, theta):
+    """Qualities q = exp(X theta) for quality features X of shape (..., N, d_q)."""
+    return np.exp(X @ theta)
+
+
+def kernel_stack(q, grams, weights):
+    """The one assembly of L: L_ij = q_i q_j S_ij with S = sum_k w_k G^k.
+
+    ``q`` (n, N) holds the qualities and ``grams`` (n, K, N, N) the base
+    Gram matrices of n ground sets; returns the (n, N, N) kernels.  The
+    trainer, data generation, prediction and build_kernel all use it.
+    """
+    S = np.einsum("k,nkij->nij", weights, grams)
+    return q[:, :, None] * q[:, None, :] * S
+
+
 def build_similarity_matrix(instance, config, weights):
     """Weighted similarity matrix S for one ground set.
 
@@ -287,8 +313,8 @@ def build_similarity_matrix(instance, config, weights):
         )
     check_simplex(w)
     grams = base_similarity_stack(instance, config)
-    S = np.tensordot(w, grams, axes=1)
-    return 0.5 * (S + S.T)
+    # S is the kernel at unit quality
+    return kernel_stack(np.ones((1, instance.n_items)), grams[None], w)[0]
 
 
 def build_quality_vector(instance, theta):
@@ -299,7 +325,7 @@ def build_quality_vector(instance, theta):
         raise ParameterError(
             f"theta has dimension {theta.size}, quality features have {x.shape[1]}"
         )
-    return np.exp(x @ theta)
+    return quality_stack(x, theta)
 
 
 def assemble_L(q, S):
@@ -316,7 +342,8 @@ def assemble_L(q, S):
         raise ParameterError("qualities must be strictly positive")
     if S.size and np.max(np.abs(S - S.T)) > SYMMETRY_TOL:
         raise ParameterError("similarity matrix is not symmetric")
-    return EnsembleKernel.from_matrix(q[:, None] * q[None, :] * S)
+    # S enters as a bank of one base kernel with weight 1
+    return EnsembleKernel.from_matrix(kernel_stack(q[None], S[None, None], [1.0])[0])
 
 
 def build_kernel(instance, params, similarity):
@@ -337,30 +364,41 @@ def marginal_kernel_from_L(L):
     return MarginalKernel(0.5 * (K + K.T))
 
 
+def label_spectra(sub):
+    """The singular-label rule for a (m, k, k) stack of label submatrices.
+
+    Returns ``(logdet, singular, evals, evecs)`` from the eigendecomposition
+    of each submatrix.  A submatrix whose smallest eigenvalue is at most
+    ``LABEL_SINGULAR_RTOL`` times its largest is singular; its logdet is
+    the trainer's finite surrogate, sum log(max(eig, 0) + LABEL_JITTER),
+    and every other row's is sum log(eig).
+    """
+    evals, evecs = np.linalg.eigh(sub)
+    singular = evals[:, 0] <= np.maximum(0.0, LABEL_SINGULAR_RTOL * evals[:, -1])
+    safe = np.where(
+        singular[:, None], np.maximum(evals, 0.0) + LABEL_JITTER, evals
+    )
+    return np.sum(np.log(safe), axis=1), singular, evals, evecs
+
+
 def log_subset_det(L_matrix, y):
     """log det of the principal submatrix indexed by y, -inf when singular.
 
-    Uses the symmetric eigenvalues of the submatrix; any nonpositive
-    eigenvalue, or a determinant at or below 1e-300, yields -inf.
-    det over the empty index set is 1 by definition.
+    Singular is the trainer's rule, :func:`label_spectra`; det over the
+    empty index set is 1 by definition.
     """
     if not y:
         return 0.0
-    sub = L_matrix[np.ix_(y, y)]
-    evals = np.linalg.eigvalsh(sub)
-    if evals[0] <= 0.0:
-        return -math.inf
-    logdet = float(np.sum(np.log(evals)))
-    if logdet <= math.log(DET_UNDERFLOW_FLOOR):
-        return -math.inf
-    return logdet
+    logdet, singular, _, _ = label_spectra(np.asarray(L_matrix)[np.ix_(y, y)][None])
+    return -math.inf if singular[0] else float(logdet[0])
 
 
 def log_probability(L, y):
     """log P(y; L) = log det(L_y) - log det(L + I).
 
-    Returns -inf (never raises) when det(L_y) underflows or the submatrix
-    is numerically singular.
+    Returns -inf (never raises) on exactly the labels the trainer counts
+    as singular (:func:`label_spectra`), where the trainer's objective
+    uses a finite surrogate instead.
     """
     y = as_subset(y, L.n_items)
     return log_subset_det(L.matrix, y) - L.log_normalizer()

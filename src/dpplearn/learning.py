@@ -134,7 +134,7 @@ def instance_objective(params, instance, config):
 
     [ -log P(y; L) + lam * softmax_margin_term ]_+ with L built from the
     instance features and ``params``.  A label whose kernel submatrix is
-    numerically singular (``batch.LABEL_SINGULAR_RTOL``) enters with the
+    numerically singular (``kernel.LABEL_SINGULAR_RTOL``) enters with the
     trainer's finite surrogate log-determinant, so the value is finite.
     """
     return total_objective(params, [instance], config)
@@ -163,7 +163,7 @@ def grad_loglik_wrt_L(L, y_star):
 
     Equals the submatrix inverse (L_{y*})^{-1} zero-padded back to N x N,
     minus (L + I)^{-1}.  Raises DegenerateLabelError when L_{y*} is
-    singular by the trainer's rule (``batch.LABEL_SINGULAR_RTOL``).
+    singular by the trainer's rule (``kernel.LABEL_SINGULAR_RTOL``).
     """
     mask = _label_mask(y_star, L.n_items)
     L_stack = L.matrix[None]

@@ -11,7 +11,9 @@ object with ``"kind": "dpplearn-instances"`` plus free-form metadata
 
 Config files are flat ``key = value`` text: one assignment per line,
 values in JSON syntax, ``#`` comments allowed, dotted keys nesting into
-sections (e.g. ``train.similarity.bandwidths = [0.5, 1.0]``).
+sections (e.g. ``train.similarity.bandwidths = [0.5, 1.0]``).  Every key
+must name a field of the config it sets; :func:`config_from_dict` rejects
+unknown keys and values of the wrong JSON kind by their dotted name.
 
 Training results are a single JSON document with the final parameters, a
 config echo, and the (iteration, objective) trace.
@@ -19,16 +21,14 @@ config echo, and the (iteration, objective) trace.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import asdict
 
 import numpy as np
 
 from .errors import DataFormatError
-from .kernel import GroundSetInstance, ModelParams, SimilarityConfig
-from .inference import InferenceConfig
+from .kernel import GroundSetInstance, ModelParams
 from .learning import TrainConfig, TrainResult
-from .synth import SynthConfig
 
 INSTANCES_KIND = "dpplearn-instances"
 
@@ -109,31 +109,48 @@ def parse_config(path):
     return out
 
 
-def similarity_config_from_dict(d):
-    d = dict(d or {})
-    return SimilarityConfig(
-        bandwidths=tuple(d.pop("bandwidths", ())),
-        include_linear=bool(d.pop("include_linear", True)),
-    )
+# The JSON value types a config field accepts, by the type of its default
+_ACCEPTED = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
+             tuple: (list,)}
 
 
-def train_config_from_dict(d):
-    d = dict(d or {})
-    similarity = similarity_config_from_dict(d.pop("similarity", {}))
-    return TrainConfig(similarity=similarity, **d)
+def config_from_dict(default, data, prefix=""):
+    """``default`` with the values that the nested dict ``data`` sets.
+
+    ``default`` is a config dataclass instance (or a plain dict of
+    defaults); keys absent from ``data`` keep its values, and sections
+    recurse into its nested configs.  Raises DataFormatError naming the
+    dotted key of an unknown key, or of a value whose JSON type the
+    default's type does not accept (``_ACCEPTED``).
+    """
+    if not isinstance(data, dict):
+        raise DataFormatError(f"config key {prefix.rstrip('.')!r} must be a section")
+    # a dataclass's fields are its instance attributes
+    current = default if isinstance(default, dict) else vars(default)
+    values = {}
+    for key, value in data.items():
+        name = prefix + key
+        if key not in current:
+            raise DataFormatError(f"unknown config key {name!r}")
+        values[key] = _config_value(current[key], value, name)
+    if isinstance(default, dict):
+        return {**default, **values}
+    return dataclasses.replace(default, **values)
 
 
-def synth_config_from_dict(d):
-    return SynthConfig(**dict(d or {}))
-
-
-def inference_config_from_dict(d):
-    return InferenceConfig(**dict(d or {}))
+def _config_value(default, value, name):
+    if dataclasses.is_dataclass(default):
+        return config_from_dict(default, value, name + ".")
+    accepted = _ACCEPTED[type(default)]
+    if type(value) not in accepted:
+        kinds = " or ".join(t.__name__ for t in accepted)
+        raise DataFormatError(f"config key {name!r} must be {kinds}, got {value!r}")
+    return tuple(value) if isinstance(default, tuple) else value
 
 
 def train_config_to_dict(config):
     """Every TrainConfig field, the similarity as a nested dict."""
-    return asdict(config)
+    return dataclasses.asdict(config)
 
 
 def write_train_result(path, result, config):
@@ -167,7 +184,7 @@ def read_train_result(path):
             np.asarray(doc["params"]["theta"], dtype=float),
             np.asarray(doc["params"]["kernel_weights"], dtype=float),
         )
-        config = train_config_from_dict(doc["config"])
+        config = config_from_dict(TrainConfig(), doc["config"], "config.")
         trace = tuple(v for _, v in doc["objective_trace"])
         result = TrainResult(params, trace, doc["converged"], doc["iterations_used"])
     except (KeyError, TypeError, ValueError) as exc:

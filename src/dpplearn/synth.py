@@ -8,8 +8,9 @@ with the exhaustive MAP subset.  S is a single base kernel on the
 features: by default the linear kernel S_ij = x_i . x_j
 (:data:`TRUE_SIMILARITY`), or any one RBF exp(-||x_i - x_j||^2 / sigma^2)
 given as a one-kernel :class:`SimilarityConfig`.  The Gram matrices come
-from :func:`dpplearn.kernel.base_similarity_stack`, the same code that
-evaluates learned similarities.  Label noise then flips the membership of
+from :func:`dpplearn.kernel.base_similarity_stack` and L from
+:func:`dpplearn.kernel.kernel_stack`, the same code that evaluates learned
+kernels.  Label noise then flips the membership of
 each item independently with probability ``noise_prob`` (an absent item
 is added, a present one dropped), so a fraction of labels disagrees with
 the noiseless MAP by one or more items.
@@ -29,7 +30,14 @@ import numpy as np
 
 from .batch import map_exhaustive_stack
 from .errors import ParameterError
-from .kernel import GroundSetInstance, SimilarityConfig, base_similarity_stack
+from .kernel import (
+    GroundSetInstance,
+    ModelParams,
+    SimilarityConfig,
+    base_similarity_stack,
+    kernel_stack,
+    quality_stack,
+)
 
 # The default generating similarity is the plain linear kernel on the features.
 TRUE_SIMILARITY = SimilarityConfig(bandwidths=(), include_linear=True)
@@ -107,22 +115,20 @@ def generate_dataset(config, similarity=TRUE_SIMILARITY):
         features[t] = rng.standard_normal((n, d))
         flips[t] = rng.random(n) < config.noise_prob
 
-    q = np.exp(features @ theta)
-    S = np.stack([
-        base_similarity_stack(GroundSetInstance(x, x), similarity)[0]
+    grams = np.stack([
+        base_similarity_stack(GroundSetInstance(x, x), similarity)
         for x in features
     ])
-    L = q[:, :, None] * q[:, None, :] * S
+    L = kernel_stack(quality_stack(features, theta), grams, np.array(TRUE_WEIGHTS))
     clean = map_exhaustive_stack(L)
 
-    instances, provenance = [], []
+    instances = []
     for t in range(total):
         label = set(clean[t])
         label.symmetric_difference_update(np.nonzero(flips[t])[0].tolist())
         instances.append(
             GroundSetInstance(features[t], features[t], tuple(sorted(label)))
         )
-        provenance.append(clean[t])
 
     a = config.n_train
     b = a + config.n_holdout
@@ -134,9 +140,9 @@ def generate_dataset(config, similarity=TRUE_SIMILARITY):
         holdout=tuple(instances[a:b]),
         test=tuple(instances[b:]),
         provenance={
-            "train": tuple(provenance[:a]),
-            "holdout": tuple(provenance[a:b]),
-            "test": tuple(provenance[b:]),
+            "train": tuple(clean[:a]),
+            "holdout": tuple(clean[a:b]),
+            "test": tuple(clean[b:]),
         },
     )
 
@@ -144,7 +150,5 @@ def generate_dataset(config, similarity=TRUE_SIMILARITY):
 def true_params(dataset):
     """ModelParams that generated the labels: the true theta and unit
     weight on ``dataset.similarity``."""
-    from .kernel import ModelParams
-
     return ModelParams(dataset.true_theta, np.array(TRUE_WEIGHTS))
 

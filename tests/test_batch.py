@@ -15,11 +15,15 @@ from oracles import (
 )
 
 from dpplearn import (
+    TRUE_SIMILARITY,
     DegenerateLabelError,
-    EnsembleKernel,
+    GroundSetInstance,
     ModelParams,
     TrainConfig,
+    build_kernel,
     grad_loglik_wrt_L,
+    instance_objective,
+    log_probability,
     project_to_simplex,
 )
 from dpplearn import batch as batch_mod
@@ -109,7 +113,7 @@ def test_singular_labels_counted_not_fatal(rng):
     # identical items in the label make L_y exactly singular
     phi = np.vstack([np.ones(3), np.ones(3), rng.standard_normal(3)])
     x = 0.1 * rng.standard_normal((3, 2))
-    from dpplearn import GroundSetInstance, SimilarityConfig
+    from dpplearn import SimilarityConfig
 
     inst = GroundSetInstance(x, phi, label=(0, 1))
     sim = SimilarityConfig(bandwidths=(1.0,), include_linear=False)
@@ -140,18 +144,38 @@ def test_log_probability_consistency(rng, dataset):
 
 @pytest.mark.parametrize("delta", [1e-10, 1e-6])
 def test_one_singular_label_rule(delta):
-    # label eigenvalues delta and 2 - delta: singular below 1e-8 relative
-    L = EnsembleKernel.from_matrix(np.array([[1.0, 1.0 - delta, 0.0],
-                                             [1.0 - delta, 1.0, 0.0],
-                                             [0.0, 0.0, 1.0]]))
+    # label eigenvalues delta and 2 - delta: singular below 1e-8 relative.
+    # Linear similarity on Cholesky rows at unit quality gives that kernel.
+    M = np.array([[1.0, 1.0 - delta, 0.0],
+                  [1.0 - delta, 1.0, 0.0],
+                  [0.0, 0.0, 1.0]])
+    inst = GroundSetInstance(np.zeros((3, 1)), np.linalg.cholesky(M), (0, 1))
+    params = ModelParams(np.zeros(1), np.ones(1))
+    L = build_kernel(inst, params, TRUE_SIMILARITY)
+    assert np.max(np.abs(L.matrix - M)) < 1e-15
     mask = np.array([[True, True, False]])
     _, singular, _ = label_terms(L.matrix[None], label_groups(mask))
     assert singular[0] == (delta < 2e-8)
+    objective = instance_objective(
+        params, inst, TrainConfig(similarity=TRUE_SIMILARITY, lam=0.0)
+    )
+    assert np.isfinite(objective)
     if singular[0]:
         with pytest.raises(DegenerateLabelError):
             grad_loglik_wrt_L(L, (0, 1))
+        assert log_probability(L, (0, 1)) == -np.inf
     else:
         assert np.all(np.isfinite(grad_loglik_wrt_L(L, (0, 1))))
+        assert -log_probability(L, (0, 1)) == pytest.approx(objective, rel=1e-12)
+
+
+def test_build_kernel_is_the_stack_row(rng, dataset):
+    theta = 0.4 * rng.standard_normal(3)
+    weights = project_to_simplex(rng.random(3))
+    params = ModelParams(theta, weights)
+    _, L_stack = build_L_stack(stack_instances(dataset, RBF_SIM)[0], theta, weights)
+    for row, inst in enumerate(dataset):
+        assert np.array_equal(build_kernel(inst, params, RBF_SIM).matrix, L_stack[row])
 
 
 def test_map_stack_chunks_agree_and_return_ints(rng, monkeypatch):

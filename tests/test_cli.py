@@ -113,3 +113,38 @@ def test_eval_mismatched_counts_is_data_error(tmp_path, gen_cfg, capsys):
     )
     assert cli_main(["eval", "--config", eval_cfg,
                      "--out-dir", str(tmp_path / "s")]) == EXIT_DATA
+
+
+TINY_EXPERIMENT = (
+    'kind = "fig1a"\ntrain_sizes = [15]\nlambda_grid = [1.0]\n'
+    "synth.n_train = 15\nsynth.n_holdout = 6\nsynth.n_test = 6\n"
+    "train.max_outer_iterations = 2\n"
+)
+
+
+@pytest.mark.parametrize("command, line, key", [
+    ("train", "train.lamda = 1.0", "train.lamda"),
+    ("train", "train.similarity.bandwidth = [1.0]", "train.similarity.bandwidth"),
+    ("train", 'train.similarity.include_linear = "false"',
+     "train.similarity.include_linear"),
+    ("experiment", "replicate = 1", "replicate"),
+    ("experiment", "lambda_grd = [1.0]", "lambda_grd"),
+    ("gen", "synth = 5", "synth"),
+], ids=["lamda", "bandwidth", "include_linear", "replicate", "lambda_grd",
+        "seeded_scalar_section"])
+def test_bad_config_key_is_data_error(tmp_path, gen_cfg, capsys, command, line, key):
+    if command == "train":
+        data_dir = tmp_path / "data"
+        assert cli_main(["gen", "--config", gen_cfg,
+                         "--out-dir", str(data_dir)]) == EXIT_OK
+        text = f'dataset = "{data_dir}/train.jsonl"\n{line}\n'
+    elif command == "experiment":
+        text = TINY_EXPERIMENT + line + "\n"
+    else:
+        text = line + "\n"
+    cfg = write_cfg(tmp_path / "bad.cfg", text)
+    capsys.readouterr()
+    code = cli_main([command, "--config", cfg, "--seed", "3",
+                     "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_DATA
+    assert f"'{key}'" in capsys.readouterr().err

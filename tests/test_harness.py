@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from dpplearn import InferenceConfig, SynthConfig, TRUE_SIMILARITY, generate_dataset
 from dpplearn.harness import (
+    FIG1C_SIMILARITY,
     ExperimentSpec,
     GridSearchResult,
     ResultRow,
@@ -15,6 +17,7 @@ from dpplearn.harness import (
     run_fig1a,
     run_omega_sweep,
     summarize,
+    write_manifest,
 )
 from dpplearn.learning import TrainConfig
 from dpplearn.errors import ParameterError
@@ -245,3 +248,15 @@ class TestFileEmission:
         for name in ("results.csv", "summary.csv", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("kind, similarity", [
+        ("fig1a", TRUE_SIMILARITY), ("fig1b", TRUE_SIMILARITY),
+        ("fig1c", FIG1C_SIMILARITY), ("omega_sweep", TRUE_SIMILARITY),
+    ])
+    def test_manifest_names_generating_similarity(self, tmp_path, kind, similarity):
+        write_manifest(tmp_path / "manifest.json", tiny_spec(kind=kind))
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        assert doc["generating_similarity"] == {
+            "bandwidths": list(similarity.bandwidths),
+            "include_linear": similarity.include_linear,
+        }

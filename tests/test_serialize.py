@@ -1,14 +1,25 @@
 import dataclasses
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpplearn import DataFormatError, SynthConfig, generate_dataset
 from dpplearn.kernel import SimilarityConfig
 from dpplearn.learning import TrainConfig, TrainResult
 from dpplearn.kernel import ModelParams
-from dpplearn import serialize
+from dpplearn import InferenceConfig, serialize
+from dpplearn.harness import (
+    EXPERIMENT_KINDS,
+    FIG1C_SIGMA,
+    ExperimentSpec,
+    spec_to_dict,
+)
 
 
 @pytest.fixture
@@ -91,7 +102,8 @@ class TestConfigFiles:
             serialize.parse_config(path)
 
     def test_train_config_from_dict(self):
-        cfg = serialize.train_config_from_dict(
+        cfg = serialize.config_from_dict(
+            TrainConfig(),
             {"lam": 2.0, "similarity": {"bandwidths": [1.0],
                                         "include_linear": False}}
         )
@@ -144,3 +156,77 @@ class TestPredictions:
         path = tmp_path / "p.jsonl"
         serialize.write_predictions(path, [(0, 2), (), (1,)])
         assert serialize.read_predictions(path) == [(0, 2), (), (1,)]
+
+
+positive = st.floats(min_value=1e-6, max_value=1e6)
+similarities = st.tuples(
+    st.lists(positive, max_size=3), st.booleans()
+).filter(lambda t: t[0] or t[1]).map(lambda t: SimilarityConfig(tuple(t[0]), t[1]))
+train_configs = st.builds(
+    TrainConfig,
+    similarity=similarities,
+    lam=st.floats(min_value=0.0, max_value=100.0),
+    omega=positive,
+    max_outer_iterations=st.integers(1, 100),
+    alternation_block=st.integers(1, 10),
+    step_size=positive,
+    step_decay=st.sampled_from(["sqrt", "constant"]),
+    rel_tolerance=positive,
+    grad_clip=st.one_of(positive, st.just(math.inf)),
+    l2_theta=st.floats(min_value=0.0, max_value=10.0),
+    seed=st.integers(0, 2**31),
+)
+grids = st.lists(positive, min_size=1, max_size=4).map(tuple)
+specs = st.builds(
+    ExperimentSpec,
+    kind=st.sampled_from(EXPERIMENT_KINDS),
+    synth=st.builds(
+        SynthConfig, n_items=st.integers(1, 20), feature_dim=st.integers(1, 8),
+        noise_prob=st.floats(min_value=0.0, max_value=1.0),
+        n_train=st.integers(1, 1000), n_holdout=st.integers(1, 100),
+        n_test=st.integers(1, 100), seed=st.integers(0, 2**31),
+    ),
+    train=train_configs,
+    inference=st.builds(
+        InferenceConfig, mode=st.sampled_from(["exhaustive", "mbr"]),
+        exhaustive_limit=st.integers(1, 25), mbr_samples=st.integers(1, 5000),
+        seed=st.integers(0, 2**31),
+    ),
+    replicates=st.integers(1, 20),
+    methods=st.lists(st.sampled_from(["mle", "lme"]), unique=True).map(tuple),
+    train_sizes=st.lists(st.integers(1, 1000), min_size=1, max_size=4).map(tuple),
+    sigma_grid=grids.map(lambda g: g + (FIG1C_SIGMA,)),
+    lambda_grid=grids,
+    omega_grid=grids,
+)
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(specs)
+    def test_experiment_spec_roundtrips_through_json(self, spec):
+        doc = json.loads(json.dumps(spec_to_dict(spec)))
+        assert serialize.config_from_dict(ExperimentSpec(), doc) == spec
+
+    @settings(max_examples=60, deadline=None)
+    @given(train_configs)
+    def test_train_config_roundtrips_through_train_result(self, config):
+        params = ModelParams(np.array([0.5, -1.0]), np.array([0.25, 0.75]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "result.json"
+            serialize.write_train_result(
+                path, TrainResult(params, (1.0,), False, 1), config
+            )
+            assert serialize.read_train_result(path)[1] == config
+
+    @pytest.mark.parametrize("data, key", [
+        ({"lamda": 1.0}, "'lamda'"),
+        ({"similarity": {"bandwidth": [1.0]}}, "'similarity.bandwidth'"),
+        ({"similarity": {"include_linear": "false"}}, "'similarity.include_linear'"),
+        ({"similarity": 1}, "'similarity'"),
+        ({"lam": True}, "'lam'"),
+        ({"max_outer_iterations": 4.0}, "'max_outer_iterations'"),
+    ])
+    def test_reader_names_the_bad_key(self, data, key):
+        with pytest.raises(DataFormatError, match=key):
+            serialize.config_from_dict(TrainConfig(), data)
