@@ -15,7 +15,7 @@ from dpplearn import (
     map_exhaustive,
     marginal_kernel_from_L,
     mbr_decode,
-    sample_dpp,
+    sample_dpp_stack,
 )
 
 rng = np.random.default_rng(7)
@@ -26,8 +26,7 @@ K = marginal_kernel_from_L(L)
 n_draws = 20_000
 counts = np.zeros(5)
 sizes = Counter()
-for _ in range(n_draws):
-    y = sample_dpp(L, rng)
+for y in sample_dpp_stack(L, n_draws, rng):  # one vectorized pass
     sizes[len(y)] += 1
     for i in y:
         counts[i] += 1

@@ -53,6 +53,7 @@ from .inference import (
     mbr_decode,
     predict_subset,
     sample_dpp,
+    sample_dpp_stack,
 )
 from .synth import (
     SynthConfig,

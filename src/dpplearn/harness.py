@@ -64,6 +64,7 @@ from .losses import precision_recall_fscore
 from .synth import TRUE_SIMILARITY, SynthConfig, generate_dataset, true_params
 
 EXPERIMENT_KINDS = ("fig1a", "fig1b", "fig1c", "omega_sweep")
+METHODS = ("mle", "lme")
 
 DEFAULT_TRAIN_SIZES = (100, 200, 400, 800)
 # Bandwidths from well below to well above the unit feature scale.  2^6 and
@@ -109,6 +110,11 @@ class ExperimentSpec:
             raise ParameterError(f"unknown experiment kind {self.kind!r}")
         if self.replicates < 1:
             raise ParameterError("replicates must be at least 1")
+        unknown = [m for m in self.methods if m not in METHODS]
+        if unknown:
+            raise ParameterError(
+                f"unknown methods {unknown}; choose from {METHODS}"
+            )
         for name in ("train_sizes", "sigma_grid", "lambda_grid", "omega_grid"):
             if not tuple(getattr(self, name)):
                 raise ParameterError(f"{name} must be non-empty")
@@ -229,7 +235,7 @@ def _method_rows(experiment, rep, cell, ds, split, base, spec, suffix=""):
                                        (1.0,), base, spec.inference).best_params}
     return [_scored_row(experiment, rep, m + suffix, cell, fits[m], ds,
                         base.similarity, spec)
-            for m in ("mle", "lme") if m in spec.methods]
+            for m in METHODS if m in spec.methods]
 
 
 def run_fig1a(spec):

@@ -171,6 +171,49 @@ def mbr_reference(samples):
     return samples[best_idx]
 
 
+def sample_dpp_reference(L, rng):
+    """One DPP sample by the spectral algorithm with a QR per step.
+
+    Phase one keeps eigenvector m with probability lambda_m / (lambda_m + 1).
+    Phase two samples an item from the squared row norms of the kept basis,
+    then contracts the basis to the subspace with zero component on that
+    item and re-orthonormalizes it.  Items whose projection mass falls below
+    1e-12 are excluded before each draw.
+    """
+    probs = L.eigenvalues / (L.eigenvalues + 1.0)
+    keep = rng.random(L.n_items) < probs
+    V = np.array(L.eigenvectors[:, keep])
+    items = []
+    while V.shape[1] > 0:
+        p = np.sum(V**2, axis=1)
+        p[p < 1e-12] = 0.0
+        p /= p.sum()
+        i = int(rng.choice(L.n_items, p=p))
+        items.append(i)
+        j = int(np.argmax(np.abs(V[i])))
+        V = V - np.outer(V[:, j], V[i] / V[i, j])
+        V = np.delete(V, j, axis=1)
+        if V.shape[1]:
+            V, _ = np.linalg.qr(V)
+    return tuple(sorted(items))
+
+
+def consensus_reference(samples):
+    """Mean F-score of each sample against all samples, from the dense T x T
+    F-score matrix."""
+    T = len(samples)
+    n = 1 + max((max(s) for s in samples if s), default=0)
+    member = np.zeros((T, n), dtype=float)
+    for t, s in enumerate(samples):
+        member[t, list(s)] = 1.0
+    sizes = member.sum(axis=1)
+    inter = member @ member.T
+    denom = sizes[:, None] + sizes[None, :]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f = np.where(denom > 0, 2.0 * inter / denom, 1.0)  # two empties: F = 1
+    return f.mean(axis=1)
+
+
 def project_simplex_reference(v):
     """Quadratic-program projection onto the simplex via SLSQP."""
     from scipy.optimize import minimize

@@ -34,7 +34,7 @@ from dpplearn import (
     log_probability,
     marginal_kernel_from_L,
     project_to_simplex,
-    sample_dpp,
+    sample_dpp_stack,
     softmax_margin_term,
     subset_marginal,
     total_objective,
@@ -260,8 +260,7 @@ def test_criterion_05_sampler_correctness():
     index = {int(m): k for k, m in enumerate(masks)}
     counts = np.zeros(len(masks))
     item_counts = np.zeros(4)
-    for _ in range(n_draws):
-        y = sample_dpp(L, rng)
+    for y in sample_dpp_stack(L, n_draws, rng):
         counts[index[sum(1 << i for i in y)]] += 1
         for i in y:
             item_counts[i] += 1

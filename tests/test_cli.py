@@ -148,3 +148,13 @@ def test_bad_config_key_is_data_error(tmp_path, gen_cfg, capsys, command, line, 
                      "--out-dir", str(tmp_path / "o")])
     assert code == EXIT_DATA
     assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_unknown_experiment_method_is_data_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "bad.cfg",
+                    TINY_EXPERIMENT + 'methods = ["mle", "lmee"]\n')
+    capsys.readouterr()
+    code = cli_main(["experiment", "--config", cfg,
+                     "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_DATA
+    assert "'lmee'" in capsys.readouterr().err

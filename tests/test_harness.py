@@ -125,6 +125,11 @@ class TestExperiments:
         with pytest.raises(ParameterError):
             tiny_spec(kind="fig9")
 
+    def test_unknown_method_rejected(self):
+        # a misspelled method would otherwise drop its rows without a word
+        with pytest.raises(ParameterError, match="lmee"):
+            tiny_spec(methods=("mle", "lmee"))
+
     def test_custom_kind_rejected_at_construction(self):
         # no runner exists for it, so the spec must not validate
         with pytest.raises(ParameterError):

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import make_kernel
-from oracles import all_subsets, map_exhaustive_reference, mbr_reference
+from oracles import (
+    all_subsets,
+    consensus_reference,
+    map_exhaustive_reference,
+    mbr_reference,
+    random_psd_matrix,
+    sample_dpp_reference,
+)
 
 from dpplearn import (
     EnsembleKernel,
@@ -21,7 +28,9 @@ from dpplearn import (
     mbr_decode,
     predict_subset,
     sample_dpp,
+    sample_dpp_stack,
 )
+from dpplearn.inference import consensus_scores
 
 
 class TestMapExhaustive:
@@ -53,16 +62,24 @@ class TestMapExhaustive:
             map_exhaustive(L, exhaustive_limit=5)
 
 
+def duplicate_item_kernel():
+    """Items 0 and 1 have identical features, so they never co-occur."""
+    phi = np.array([[1.0, 0.0], [1.0, 0.0], [0.2, 0.9]])
+    inst = GroundSetInstance(np.zeros((3, 1)), phi)
+    cfg = SimilarityConfig(bandwidths=(1.0,), include_linear=False)
+    return assemble_L(np.ones(3), build_similarity_matrix(inst, cfg, [1.0]))
+
+
 class TestSampler:
     def test_zero_kernel_always_empty(self, rng):
         L = EnsembleKernel.from_matrix(np.zeros((4, 4)))
-        assert all(sample_dpp(L, rng) == () for _ in range(50))
+        assert all(y == () for y in sample_dpp_stack(L, 50, rng))
 
     def test_single_item_frequency(self, rng):
         lam = 1.5
         L = EnsembleKernel.from_matrix(np.diag([lam, 0.0]))
         n = 50_000
-        hits = sum(0 in sample_dpp(L, rng) for _ in range(n))
+        hits = sum(0 in y for y in sample_dpp_stack(L, n, rng))
         p = lam / (lam + 1.0)
         sigma = math.sqrt(n * p * (1 - p))
         assert abs(hits - n * p) <= 3.0 * sigma
@@ -72,8 +89,8 @@ class TestSampler:
         L = make_kernel(rng, 5, scale=2.0)
         K = marginal_kernel_from_L(L)
         counts = np.zeros(5)
-        for _ in range(n_draws):
-            for i in sample_dpp(L, rng):
+        for y in sample_dpp_stack(L, n_draws, rng):
+            for i in y:
                 counts[i] += 1
         for i in range(5):
             p = K.matrix[i, i]
@@ -81,12 +98,8 @@ class TestSampler:
             assert abs(counts[i] - n_draws * p) <= 4.0 * sigma
 
     def test_duplicate_items_never_cooccur(self, rng):
-        phi = np.array([[1.0, 0.0], [1.0, 0.0], [0.2, 0.9]])
-        inst = GroundSetInstance(np.zeros((3, 1)), phi)
-        cfg = SimilarityConfig(bandwidths=(1.0,), include_linear=False)
-        L = assemble_L(np.ones(3), build_similarity_matrix(inst, cfg, [1.0]))
-        for _ in range(50_000):
-            y = sample_dpp(L, rng)
+        L = duplicate_item_kernel()
+        for y in sample_dpp_stack(L, 50_000, rng):
             assert not (0 in y and 1 in y)
 
     def test_goodness_of_fit_against_enumeration(self, rng):
@@ -97,12 +110,96 @@ class TestSampler:
         expected = {
             y: math.exp(log_probability(L, y)) for y in all_subsets(4)
         }
-        counts = Counter(sample_dpp(L, rng) for _ in range(n_draws))
+        counts = Counter(sample_dpp_stack(L, n_draws, rng))
         keys = list(expected)
         obs = np.array([counts.get(y, 0) for y in keys], dtype=float)
         exp = np.array([expected[y] * n_draws for y in keys])
         stat, pvalue = chisquare(obs, exp * obs.sum() / exp.sum())
         assert pvalue > 0.001
+
+
+def assert_draw_for_draw(L, T, seed):
+    """The stack equals T reference draws on a twin generator, state included."""
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_dpp_stack(L, T, rng)
+    assert got == [sample_dpp_reference(L, twin) for _ in range(T)]
+    assert all(isinstance(i, int) for y in got for i in y)
+    assert rng.random() == twin.random()
+
+
+class TestSampleDppStack:
+    @pytest.mark.parametrize("n", [1, 4, 10, 30])
+    def test_random_kernels(self, n):
+        for seed in range(3):
+            g = np.random.default_rng(1000 * n + seed)
+            L = EnsembleKernel.from_matrix(random_psd_matrix(g, n, scale=3.0))
+            assert_draw_for_draw(L, 200, seed)
+
+    def test_zero_kernel(self):
+        assert_draw_for_draw(EnsembleKernel.from_matrix(np.zeros((4, 4))), 50, 1)
+
+    def test_duplicate_item_kernel(self):
+        assert_draw_for_draw(duplicate_item_kernel(), 500, 2)
+
+    def test_rank_deficient_kernel(self, rng):
+        A = rng.standard_normal((8, 3))
+        assert_draw_for_draw(EnsembleKernel.from_matrix(4.0 * A @ A.T), 300, 3)
+
+    def test_chunks_continue_the_stream(self, monkeypatch):
+        import dpplearn.batch as batch_mod
+
+        L = EnsembleKernel.from_matrix(
+            random_psd_matrix(np.random.default_rng(7), 6, scale=3.0))
+        monkeypatch.setattr(batch_mod, "MAP_CHUNK_BYTES", 16 * 6 * 6 * 7)
+        assert_draw_for_draw(L, 100, 4)  # chunks of 7 samples
+
+    def test_temporaries_stay_within_the_chunk_budget(self, monkeypatch):
+        import tracemalloc
+
+        import dpplearn.batch as batch_mod
+
+        n, T = 20, 5000
+        L = EnsembleKernel.from_matrix(
+            random_psd_matrix(np.random.default_rng(3), n, scale=50.0))
+        monkeypatch.setattr(batch_mod, "MAP_CHUNK_BYTES", 1 << 20)
+        tracemalloc.start()
+        try:
+            samples = sample_dpp_stack(L, T, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == T
+        assert peak < T * n * n * 8 / 4  # a (T, N, N) array takes 16 MB
+
+    def test_sample_dpp_is_the_stack_of_one(self, rng):
+        L = make_kernel(rng, 6, scale=2.0)
+        r, twin = np.random.default_rng(5), np.random.default_rng(5)
+        assert [sample_dpp(L, r) for _ in range(40)] == sample_dpp_stack(L, 40, twin)
+        assert r.random() == twin.random()
+
+
+class TestConsensusScores:
+    POOL = [(), (0,), (1, 3), (0, 1, 3), (2,), (0, 2, 4), (5,)]
+
+    def assert_matches_reference(self, samples):
+        got, want = consensus_scores(samples), consensus_reference(samples)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        assert int(np.argmax(got)) == int(np.argmax(want))
+
+    def test_random_lists_with_repeats_and_empty(self, rng):
+        for _ in range(50):
+            picks = rng.integers(len(self.POOL), size=int(rng.integers(1, 80)))
+            self.assert_matches_reference([self.POOL[i] for i in picks])
+
+    def test_edge_lists(self):
+        for samples in ([()], [(), ()], [(), (1,)], [(1,), ()], [(0, 2)],
+                        [(3,), (3,), (), (0, 3), (0, 3), ()]):
+            self.assert_matches_reference(samples)
+
+    def test_drawn_samples(self, rng):
+        for n in (4, 10):
+            L = make_kernel(rng, n, scale=2.0)
+            self.assert_matches_reference(sample_dpp_stack(L, 1000, rng))
 
 
 class TestMbrDecode:
@@ -113,8 +210,6 @@ class TestMbrDecode:
         assert isinstance(out, tuple)
 
     def test_identical_samples_consensus_one(self):
-        from dpplearn.inference import consensus_scores
-
         scores = consensus_scores([(0, 2), (0, 2), (0, 2)])
         assert np.allclose(scores, 1.0)
 
@@ -160,3 +255,8 @@ class TestPredictSubset:
             InferenceConfig(exhaustive_limit=30)
         with pytest.raises(ParameterError):
             InferenceConfig(mbr_samples=0)
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_exhaustive_limit_below_one_rejected(self, limit):
+        with pytest.raises(ParameterError, match="exhaustive_limit"):
+            InferenceConfig(exhaustive_limit=limit)
