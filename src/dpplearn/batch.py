@@ -13,6 +13,15 @@ test suite's ``oracles.py``.  The assembly of L, the PSD rule and the
 singular-label rule are those of the per-instance kernel API:
 :func:`dpplearn.kernel.kernel_stack`, ``clamp_psd_stack`` and
 ``label_spectra``.
+
+The normalizer log det(L + I) and the resolvent (L + I)^{-1} come from a
+batched Cholesky factorization and one batched inverse, with no
+spectrum.  That is sound because L + I is positive definite whenever L
+is PSD, and L = diag(q) S diag(q), with S a simplex mix of the base Gram
+matrices, is PSD whenever those Grams are (Schur product theorem).  So
+the PSD rule runs on the base Grams, once per batch, the first time
+:func:`hinge_terms` evaluates it: the trainer and ``total_objective``
+pay for it once, and prediction never does.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NotPositiveSemidefiniteError, ParameterError
 from .kernel import (
     base_similarity_stack,
     clamp_psd_stack,
@@ -42,7 +51,8 @@ MAP_CHUNK_BYTES = 1 << 24
 class InstanceBatch:
     """Instances with a common item count, stacked for array evaluation."""
 
-    __slots__ = ("indices", "X", "grams", "mask", "size_groups", "n", "n_items")
+    __slots__ = ("indices", "X", "grams", "mask", "size_groups", "n", "n_items",
+                 "grams_checked")
 
     def __init__(self, dataset_positions, instances, similarity):
         self.indices = np.asarray(dataset_positions, dtype=int)
@@ -56,6 +66,7 @@ class InstanceBatch:
         for row, inst in enumerate(instances):
             self.mask[row, list(inst.label or ())] = True
         self.size_groups = label_groups(self.mask)
+        self.grams_checked = False
 
 
 def label_groups(mask):
@@ -101,18 +112,51 @@ def _batched_inv_from_eigh(evals, evecs):
     return (evecs / evals[:, None, :]) @ np.swapaxes(evecs, -1, -2)
 
 
+def check_grams(batch, context=""):
+    """Apply the PSD rule of :func:`~dpplearn.kernel.clamp_psd_stack` to
+    every base Gram matrix of a batch, once per batch.
+
+    Raises NotPositiveSemidefiniteError naming the instance.  Passing
+    makes every L of the batch PSD for simplex weights, so its L + I has
+    the Cholesky factor :func:`resolvent_stack` takes.
+    """
+    if batch.grams_checked:
+        return
+    n, k, N, _ = batch.grams.shape
+    evals = np.linalg.eigvalsh(batch.grams).reshape(n * k, N)
+    clamp_psd_stack(evals, np.repeat(batch.indices, k),
+                    f" in a base Gram matrix{context}")
+    batch.grams_checked = True
+
+
 def resolvent_stack(L, indices=None, context=""):
     """log det(L + I) and (L + I)^{-1} for a (n, N, N) kernel stack.
 
-    Raises NotPositiveSemidefiniteError when some L fails the PSD rule of
-    :func:`~dpplearn.kernel.clamp_psd_stack`, naming the instance by its
+    One batched Cholesky factorization of L + I gives the log-determinant
+    as twice the log-sum of the factor's diagonal; one batched inverse
+    gives the resolvent.  When some L + I has no Cholesky factor, raises
+    NotPositiveSemidefiniteError naming the first such kernel by its
     entry in ``indices``.
     """
-    evalsB, evecsB = np.linalg.eigh(L + np.eye(L.shape[-1]))
-    # eigenvalues of L are those of B = L + I shifted down by one
-    clamp_psd_stack(evalsB - 1.0, indices, context)
-    evalsB = np.maximum(evalsB, 1.0)
-    return np.sum(np.log(evalsB), axis=1), _batched_inv_from_eigh(evalsB, evecsB)
+    B = L + np.eye(L.shape[-1])
+    try:
+        chol = np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:
+        row = next(r for r, M in enumerate(B) if not _has_cholesky(M))
+        name = "" if indices is None else f" for instance {int(indices[row])}"
+        raise NotPositiveSemidefiniteError(
+            f"kernel{name} has no Cholesky factor of L + I{context}: it is not "
+            "positive semidefinite") from None
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    return logdet, np.linalg.inv(B)
+
+
+def _has_cholesky(M):
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def label_terms(L, size_groups, invB=None):
@@ -170,29 +214,42 @@ def margin_grad(invB, mask, omega, A, lam=1.0):
     return (lam / A)[:, None, None] * ((invB * d[:, None, :]) @ invB)
 
 
-def chain_to_params(U, L, q, X, grams):
-    """Chain symmetric gradients dF/dL (m, N, N) to (theta, weights).
-
-    dF/dtheta = sum_ij U_ij L_ij (x_i + x_j) and dF/dw_k = sum_ij U_ij q_i
-    q_j G^k_ij, summed over the stack; ``L``, ``q``, ``X`` and ``grams``
-    are the matching rows of :func:`build_L_stack` and the batch.
-    """
+def chain_to_theta(U, L, X):
+    """Chain symmetric gradients dF/dL (m, N, N) to theta:
+    dF/dtheta = sum_ij U_ij L_ij (x_i + x_j), summed over the stack."""
     r = np.sum(U * L, axis=2)
-    g_theta = 2.0 * np.einsum("mi,mid->d", r, X)
+    return 2.0 * np.einsum("mi,mid->d", r, X)
+
+
+def chain_to_weights(U, q, grams):
+    """Chain symmetric gradients dF/dL (m, N, N) to the kernel weights:
+    dF/dw_k = sum_ij U_ij q_i q_j G^k_ij, summed over the stack."""
     qq = q[:, :, None] * q[:, None, :]
-    g_weights = np.einsum("mij,mkij->k", U * qq, grams)
-    return g_theta, g_weights
+    return np.einsum("mij,mkij->k", U * qq, grams)
+
+
+def _grad_blocks(want_grad):
+    """(theta wanted, weights wanted) for a ``want_grad`` argument."""
+    if want_grad not in (True, False, "theta", "weights"):
+        raise ParameterError(f"unknown want_grad {want_grad!r}")
+    return want_grad in (True, "theta"), want_grad in (True, "weights")
 
 
 def hinge_terms(batch, theta, weights, lam, omega, want_grad, context=""):
     """Hinge objective pieces and (optionally) its subgradient for one batch.
 
     Returns ``(value, g_theta, g_weights, n_singular)`` where value sums
-    max(0, -log P(y_n) + lam * log A_n) over the batch.  Instances whose
-    label is singular (see :func:`label_terms`) enter with the finite
-    surrogate log-determinant, so the objective stays recordable, and
-    contribute only the margin-term gradient.
+    max(0, -log P(y_n) + lam * log A_n) over the batch.  ``want_grad`` is
+    True for both gradient blocks, "theta" or "weights" for one of them,
+    False for none; a block not asked for is None.  The value does not
+    depend on ``want_grad``.  Instances whose label is singular (see
+    :func:`label_terms`) enter with the finite surrogate log-determinant,
+    so the objective stays recordable, and contribute only the
+    margin-term gradient.  The first call on a batch runs
+    :func:`check_grams`.
     """
+    want_theta, want_weights = _grad_blocks(want_grad)
+    check_grams(batch, context)
     q, L = build_L_stack(batch, theta, weights)
     logdetB, invB = resolvent_stack(L, batch.indices, context)
     logdet_y, singular, G = label_terms(
@@ -209,24 +266,31 @@ def hinge_terms(batch, theta, weights, lam, omega, want_grad, context=""):
     if not want_grad:
         return value, None, None, n_singular
 
+    g_theta = np.zeros_like(theta) if want_theta else None
+    g_weights = np.zeros_like(weights) if want_weights else None
     act = np.nonzero(z > 0)[0]
     if act.size == 0:
-        return value, np.zeros_like(theta), np.zeros_like(weights), n_singular
+        return value, g_theta, g_weights, n_singular
     U = -G[act]
     if lam > 0:
         U += margin_grad(invB[act], batch.mask[act], omega, A[act], lam)
-    g_theta, g_weights = chain_to_params(
-        U, L[act], q[act], batch.X[act], batch.grams[act]
-    )
+    if want_theta:
+        g_theta = chain_to_theta(U, L[act], batch.X[act])
+    if want_weights:
+        g_weights = chain_to_weights(U, q[act], batch.grams[act])
     return value, g_theta, g_weights, n_singular
 
 
 def dataset_value_and_grad(batches, theta, weights, lam, omega, want_grad=True,
                            context=""):
-    """Sum :func:`hinge_terms` over all batches of a dataset."""
+    """Sum :func:`hinge_terms` over all batches of a dataset.
+
+    ``want_grad`` selects the gradient blocks as in :func:`hinge_terms`.
+    """
+    want_theta, want_weights = _grad_blocks(want_grad)
     total = 0.0
-    g_theta = np.zeros_like(theta) if want_grad else None
-    g_weights = np.zeros_like(weights) if want_grad else None
+    g_theta = np.zeros_like(theta) if want_theta else None
+    g_weights = np.zeros_like(weights) if want_weights else None
     n_singular = 0
     for batch in batches:
         val, gt, gw, ns = hinge_terms(
@@ -234,8 +298,9 @@ def dataset_value_and_grad(batches, theta, weights, lam, omega, want_grad=True,
         )
         total += val
         n_singular += ns
-        if want_grad:
+        if want_theta:
             g_theta += gt
+        if want_weights:
             g_weights += gw
     return total, g_theta, g_weights, n_singular
 

@@ -65,6 +65,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser():
     parser = _Parser(prog="dpplearn", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -83,7 +93,8 @@ def _build_parser():
     common(sub.add_parser("eval", help="score predictions against labels"))
     common(sub.add_parser("experiment", help="run a canned experiment"))
     g = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    g.add_argument("--n", type=int, default=6, help="items per random instance")
+    g.add_argument("--n", type=_positive_int, default=6,
+                   help="items per random instance")
     g.add_argument("--trials", type=int, default=20, help="random instances")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--step", type=float, default=1e-5)

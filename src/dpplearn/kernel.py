@@ -237,6 +237,10 @@ class MarginalKernel:
 def clamp_psd_stack(evals, indices=None, context="", tol=EIG_CLAMP_TOL):
     """The PSD rule for a stack of kernel spectra, one row per kernel.
 
+    :class:`EnsembleKernel` applies it to the spectrum of L; the batched
+    trainer applies it once to the spectra of the base Gram matrices,
+    so every L built from them with simplex weights is PSD
+    (``batch.check_grams``).
     Returns the eigenvalues clamped at zero.  A row with an eigenvalue
     below -max(tol, 1e-12 max|eig|), absolute for unit-scale kernels and
     relative for large spectra, raises NotPositiveSemidefiniteError that

@@ -15,6 +15,12 @@ per-instance functions here evaluate it on a stack of one.
 Optimization is block-alternating projected subgradient descent: a block
 of steps on theta with the kernel weights fixed, then a block of projected
 steps on the kernel weights, repeating with a diminishing step size.
+Every objective evaluation is one pass of
+:func:`dpplearn.batch.dataset_value_and_grad` over the training set, and
+each pass computes only the gradient block that the next step uses.  The
+pass that records an outer iteration's objective also gives the theta
+gradient for the next iteration's first step, so no iterate is evaluated
+twice.
 """
 
 from __future__ import annotations
@@ -210,9 +216,9 @@ def chain_L_to_params(instance, params, similarity, upstream):
     batch = _batch.stack_instances([instance], similarity)[0]
     q, L = _batch.build_L_stack(batch, params.theta, params.kernel_weights)
     # L is symmetric, so only the symmetric part of U enters either sum
-    return _batch.chain_to_params(
-        (0.5 * (U + U.T))[None], L, q, batch.X, batch.grams
-    )
+    U = (0.5 * (U + U.T))[None]
+    return (_batch.chain_to_theta(U, L, batch.X),
+            _batch.chain_to_weights(U, q, batch.grams))
 
 
 def project_to_simplex(v):
@@ -282,6 +288,14 @@ def train(dataset, config, initial=None):
     to dataset size.  The hinge subgradient is zero whenever the bracket is
     nonpositive.
 
+    Pass schedule, with B = ``alternation_block``: one pass at the
+    starting point gives the first theta gradient.  Outer iteration t
+    then makes B - 1 theta-gradient passes (its first step reuses the
+    gradient it starts with), B weight-gradient passes when the weights
+    are learned, and one pass at the new iterate that records the
+    objective and computes the theta gradient for iteration t + 1.  T
+    iterations thus cost 2BT + 1 passes with weights, BT + 1 without.
+
     Instances whose label submatrix is numerically singular (the label is
     impossible under a rank-deficient similarity, e.g. after label noise
     inflates a subset past the feature rank) contribute a finite jittered
@@ -316,7 +330,8 @@ def train(dataset, config, initial=None):
     prev = None
     t = 0
 
-    def value_and_grad(want_grad, iteration):
+    def evaluate(want_grad, iteration):
+        """Objective and the clipped average gradient of one block."""
         nonlocal warned_singular
         context = f" (training iteration {iteration})"
         val, g_t, g_w, n_sing = _batch.dataset_value_and_grad(
@@ -332,26 +347,28 @@ def train(dataset, config, initial=None):
             warned_singular = True
         if config.l2_theta > 0:
             val += 0.5 * config.l2_theta * float(theta @ theta)
-            if want_grad:
+            if g_t is not None:
                 g_t = g_t + config.l2_theta * theta
-        if want_grad:
-            return val, _clip(g_t / n_total, config.grad_clip), _clip(
-                g_w / n_total, config.grad_clip
-            )
-        return val
+        g = g_t if want_grad == "theta" else g_w
+        return val, _clip(g / n_total, config.grad_clip)
 
+    # the theta gradient at the starting point, for the first step
+    _, g_t = evaluate("theta", 1)
     for t in range(1, config.max_outer_iterations + 1):
         step = config.step_size
         if config.step_decay == "sqrt":
             step /= math.sqrt(t)
-        for _ in range(config.alternation_block):
-            _, g_t, _ = value_and_grad(True, t)
+        for k in range(config.alternation_block):
+            if k:
+                _, g_t = evaluate("theta", t)
             theta = theta - step * g_t
         if learn_weights:
             for _ in range(config.alternation_block):
-                _, _, g_w = value_and_grad(True, t)
+                _, g_w = evaluate("weights", t)
                 weights = project_to_simplex(weights - step * g_w)
-        obj = value_and_grad(False, t)
+        # the objective at this iterate, where the next iteration's first
+        # theta step starts, so the same pass yields that step's gradient
+        obj, g_t = evaluate("theta", t)
         trace.append(obj)
         if prev is not None and abs(prev - obj) <= config.rel_tolerance * max(
             1.0, abs(prev)

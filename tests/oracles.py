@@ -1,9 +1,9 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is deliberately written against numpy's generic LU-based
-determinants and plain Python set arithmetic, not the library's
-eigendecomposition paths, so a disagreement implicates the implementation
-rather than a shared bug.
+determinants, eigendecompositions where the library factors by Cholesky,
+and plain Python set arithmetic, so a disagreement implicates the
+implementation rather than a shared bug.
 """
 
 from itertools import combinations
@@ -100,6 +100,34 @@ def kernel_reference(instance, params, similarity):
     grams = gram_references(instance.similarity_features, similarity)
     S = sum(w * G for w, G in zip(params.kernel_weights, grams))
     return np.outer(q, q) * S
+
+
+def resolvent_reference(L, digits=None):
+    """log det(L + I) and (L + I)^{-1} of a (n, N, N) stack by eigh.
+
+    The spectrum of L + I, clamped at one, gives both.  With ``digits``
+    the eigendecomposition runs in that many decimal digits (mpmath), for
+    stacks whose conditioning makes the double-precision one inexact:
+    there the inverse is only good to about cond(L + I) * 1e-16.
+    """
+    L = np.asarray(L, dtype=float)
+    eye = np.eye(L.shape[-1])
+    if digits is None:
+        evals, evecs = np.linalg.eigh(L + eye)
+        evals = np.maximum(evals, 1.0)
+        inv = (evecs / evals[:, None, :]) @ np.swapaxes(evecs, -1, -2)
+        return np.sum(np.log(evals), axis=1), inv
+    import mpmath
+
+    logdets, invs = [], []
+    with mpmath.workdps(digits):
+        for M in L:
+            evals, evecs = mpmath.eigsy(mpmath.matrix((M + eye).tolist()))
+            evals = [max(e, mpmath.mpf(1)) for e in evals]
+            diag = mpmath.diag([1 / e for e in evals])
+            logdets.append(float(mpmath.fsum(mpmath.log(e) for e in evals)))
+            invs.append(np.array((evecs * diag * evecs.T).tolist(), dtype=float))
+    return np.array(logdets), np.array(invs)
 
 
 def _marginal_mass(L_matrix, y, omega):

@@ -292,6 +292,7 @@ def _cell(cells, method, cell_value=None):
     raise KeyError((method, cell_value))
 
 
+@pytest.mark.slow
 def test_criterion_06_fig1a_direction():
     spec = ExperimentSpec(
         kind="fig1a", synth=SynthConfig(seed=MASTER_SEED), train=BASE_TRAIN,
@@ -312,6 +313,7 @@ def test_criterion_06_fig1a_direction():
 
 # -------------------------------------------------------------------- 7
 
+@pytest.mark.slow
 def test_criterion_07_fig1b_robustness():
     spec = ExperimentSpec(
         kind="fig1b", synth=SynthConfig(seed=MASTER_SEED), train=BASE_TRAIN,
@@ -329,6 +331,7 @@ def test_criterion_07_fig1b_robustness():
 
 # -------------------------------------------------------------------- 8
 
+@pytest.mark.slow
 def test_criterion_08_fig1c_recovery():
     # fig1c draws its labels from the RBF at sigma = 2, a member of the
     # bank, so joint training over the bank must match training with that
@@ -351,6 +354,7 @@ def test_criterion_08_fig1c_recovery():
 
 # -------------------------------------------------------------------- 9
 
+@pytest.mark.slow
 def test_criterion_09_omega_tradeoff():
     lo_w, hi_w = 2.0**-6, 2.0**6
     spec = ExperimentSpec(

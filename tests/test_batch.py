@@ -12,6 +12,7 @@ from oracles import (
     loglik_grad_reference,
     map_exhaustive_reference,
     margin_grad_reference,
+    resolvent_reference,
 )
 
 from dpplearn import (
@@ -19,6 +20,8 @@ from dpplearn import (
     DegenerateLabelError,
     GroundSetInstance,
     ModelParams,
+    NotPositiveSemidefiniteError,
+    SimilarityConfig,
     TrainConfig,
     build_kernel,
     grad_loglik_wrt_L,
@@ -30,9 +33,11 @@ from dpplearn import batch as batch_mod
 from dpplearn.batch import (
     build_L_stack,
     dataset_value_and_grad,
+    hinge_terms,
     label_groups,
     label_terms,
     map_exhaustive_stack,
+    resolvent_stack,
     stack_instances,
 )
 
@@ -113,8 +118,6 @@ def test_singular_labels_counted_not_fatal(rng):
     # identical items in the label make L_y exactly singular
     phi = np.vstack([np.ones(3), np.ones(3), rng.standard_normal(3)])
     x = 0.1 * rng.standard_normal((3, 2))
-    from dpplearn import SimilarityConfig
-
     inst = GroundSetInstance(x, phi, label=(0, 1))
     sim = SimilarityConfig(bandwidths=(1.0,), include_linear=False)
     batches = stack_instances([inst], sim)
@@ -204,3 +207,66 @@ def test_map_stack_chunks_agree_and_return_ints(rng, monkeypatch):
         assert all(type(i) is int for y in chunked for i in y)
         assert max(sizes) <= max(budget, 7 * 7 * 8)
         assert map_exhaustive_stack(dup[None]) == [(0, 2)]
+
+
+def _resolvent_case(rng, kind):
+    """A (20, 8, 8) kernel stack of the given kind and the oracle's digits."""
+    data = [make_instance(rng, n=8, label_size=3) for _ in range(20)]
+    if kind == "zero":
+        return np.zeros((20, 8, 8)), None
+    if kind == "linear":
+        # 3 similarity features: every L has rank 3
+        batch = stack_instances(data, TRUE_SIMILARITY)[0]
+        _, L = build_L_stack(batch, 0.5 * rng.standard_normal(3), np.ones(1))
+        return L, None
+    # RBF bank with qualities up to about 1e3, so entries reach about 1e6;
+    # double-precision eigh is only good to ~cond * 1e-16 there
+    bank = SimilarityConfig(bandwidths=(0.5, 1.0, 2.0, 4.0), include_linear=False)
+    batch = stack_instances(data, bank)[0]
+    theta = np.full(3, 7.0) / np.max(np.abs(batch.X).sum(axis=2))
+    _, L = build_L_stack(batch, theta, project_to_simplex(rng.random(4)))
+    assert 1e5 < np.max(L) < 1e7
+    return L, 40
+
+
+@pytest.mark.parametrize("kind", ["linear", "rbf_large", "zero"])
+def test_resolvent_matches_eigh_oracle(rng, kind):
+    L, digits = _resolvent_case(rng, kind)
+    logdet, inv = resolvent_stack(L)
+    ref_logdet, ref_inv = resolvent_reference(L, digits)
+    assert np.all(np.abs(logdet - ref_logdet) <= 1e-12 * np.abs(ref_logdet))
+    err = np.max(np.abs(inv - ref_inv), axis=(1, 2))
+    assert np.all(err <= 1e-12 * np.max(np.abs(ref_inv), axis=(1, 2)))
+
+
+def test_indefinite_base_gram_names_the_instance(rng):
+    data = [make_instance(rng, n=5) for _ in range(6)]
+    batch = stack_instances(data, RBF_SIM)[0]
+    batch.indices = np.arange(10, 16)
+    # a negated RBF Gram is negative definite
+    batch.grams[3, 0] = -batch.grams[3, 0]
+    with pytest.raises(NotPositiveSemidefiniteError, match="instance 13"):
+        hinge_terms(batch, np.zeros(3), np.full(3, 1 / 3), 1.0, 1.0, True)
+    assert not batch.grams_checked
+
+
+def test_kernel_without_cholesky_factor_names_the_instance():
+    L = np.zeros((3, 2, 2))
+    L[1] = np.diag([1.0, -2.0])  # L + I has eigenvalue -1
+    with pytest.raises(NotPositiveSemidefiniteError,
+                       match="instance 8 .*training iteration 4"):
+        resolvent_stack(L, np.array([7, 8, 9]), " (training iteration 4)")
+
+
+def test_partial_gradients_are_the_full_gradient_blocks(rng, dataset):
+    batches = stack_instances(dataset, RBF_SIM)
+    theta = 0.4 * rng.standard_normal(3)
+    weights = project_to_simplex(rng.random(3))
+    full = dataset_value_and_grad(batches, theta, weights, 1.5, 2.0, True)
+    only_theta = dataset_value_and_grad(batches, theta, weights, 1.5, 2.0, "theta")
+    only_weights = dataset_value_and_grad(batches, theta, weights, 1.5, 2.0,
+                                          "weights")
+    value = dataset_value_and_grad(batches, theta, weights, 1.5, 2.0, False)
+    assert full[0] == only_theta[0] == only_weights[0] == value[0]
+    assert np.array_equal(only_theta[1], full[1]) and only_theta[2] is None
+    assert np.array_equal(only_weights[2], full[2]) and only_weights[1] is None

@@ -101,6 +101,13 @@ def test_gradcheck_passes(capsys):
     assert "max relative error" in out
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_gradcheck_nonpositive_n_is_usage_error(capsys, n):
+    assert cli_main(["gradcheck", "--n", n, "--trials", "1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--n" in err and n in err
+
+
 def test_eval_mismatched_counts_is_data_error(tmp_path, gen_cfg, capsys):
     data_dir = tmp_path / "data"
     cli_main(["gen", "--config", gen_cfg, "--out-dir", str(data_dir)])

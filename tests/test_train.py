@@ -6,14 +6,17 @@ import pytest
 from conftest import RBF_SIM, make_instance
 
 from dpplearn import (
+    TRUE_SIMILARITY,
     GroundSetInstance,
     ModelParams,
     ParameterError,
     SimilarityConfig,
     TrainConfig,
+    project_to_simplex,
     total_objective,
     train,
 )
+from dpplearn import batch as batch_mod
 
 
 def small_dataset(rng, n_instances=12):
@@ -147,3 +150,87 @@ class TestTrain:
         free = train(data, base).params.theta
         shrunk = train(data, ridge).params.theta
         assert np.linalg.norm(shrunk) < np.linalg.norm(free)
+
+
+def record_passes(monkeypatch):
+    """Record (want_grad, theta, weights) of every pass train makes."""
+    calls = []
+    inner = batch_mod.dataset_value_and_grad
+
+    def recording(batches, theta, weights, *args, want_grad=True, **kwargs):
+        calls.append((want_grad, theta.copy(), weights.copy()))
+        return inner(batches, theta, weights, *args, want_grad=want_grad,
+                     **kwargs)
+
+    monkeypatch.setattr(batch_mod, "dataset_value_and_grad", recording)
+    return calls
+
+
+def separate_passes_reference(data, config):
+    """The trainer's steps with a full-gradient pass for every step and an
+    objective-only pass for every iterate (2B + 1 passes per iteration)."""
+    batches = batch_mod.stack_instances(data, config.similarity)
+    theta = np.zeros(data[0].quality_features.shape[1])
+    weights = np.full(config.similarity.n_weights, 1.0 / config.similarity.n_weights)
+    trace = []
+
+    def grad(block):
+        _, g_t, g_w, _ = batch_mod.dataset_value_and_grad(
+            batches, theta, weights, config.lam, config.omega)
+        g = (g_t if block == "theta" else g_w) / len(data)
+        norm = float(np.linalg.norm(g))
+        return g * (config.grad_clip / norm) if norm > config.grad_clip else g
+
+    for t in range(1, config.max_outer_iterations + 1):
+        step = config.step_size / np.sqrt(t)
+        for _ in range(config.alternation_block):
+            theta = theta - step * grad("theta")
+        for _ in range(config.alternation_block):
+            weights = project_to_simplex(weights - step * grad("weights"))
+        trace.append(batch_mod.dataset_value_and_grad(
+            batches, theta, weights, config.lam, config.omega, want_grad=False)[0])
+    return theta, project_to_simplex(weights), trace
+
+
+class TestPassSchedule:
+    @pytest.mark.parametrize("similarity, per_iteration", [
+        (RBF_SIM, ["theta", "theta", "weights", "weights", "weights", "theta"]),
+        (TRUE_SIMILARITY, ["theta", "theta", "theta"]),
+    ])
+    def test_passes_per_iteration(self, rng, monkeypatch, similarity,
+                                  per_iteration):
+        calls = record_passes(monkeypatch)
+        config = TrainConfig(similarity=similarity, lam=1.0,
+                             max_outer_iterations=4, rel_tolerance=1e-15)
+        result = train(small_dataset(rng), config)
+        T = result.iterations_used
+        assert T == 4
+        # 6T + 1 passes with the weight block on, 3T + 1 with one kernel
+        assert len(calls) == len(per_iteration) * T + 1
+        assert [c[0] for c in calls] == ["theta"] + per_iteration * T
+
+    @pytest.mark.parametrize("l2_theta", [0.0, 0.5])
+    def test_trace_is_total_objective_at_each_iterate(self, rng, monkeypatch,
+                                                      l2_theta):
+        calls = record_passes(monkeypatch)
+        data = small_dataset(rng)
+        config = TrainConfig(similarity=RBF_SIM, lam=1.0, l2_theta=l2_theta,
+                             max_outer_iterations=4, rel_tolerance=1e-15)
+        result = train(data, config)
+        iterates = calls[6::6]
+        assert len(iterates) == len(result.objective_trace) == 4
+        for recorded, (_, theta, weights) in zip(result.objective_trace, iterates):
+            expected = total_objective(ModelParams(theta, weights), data, config)
+            if l2_theta > 0:
+                expected += 0.5 * l2_theta * float(theta @ theta)
+            assert recorded == expected
+
+    def test_reused_gradient_fits_what_separate_passes_fit(self, rng):
+        data = small_dataset(rng)
+        config = TrainConfig(similarity=RBF_SIM, lam=1.0,
+                             max_outer_iterations=5, rel_tolerance=1e-15)
+        result = train(data, config)
+        theta, weights, trace = separate_passes_reference(data, config)
+        assert np.array_equal(result.params.theta, theta)
+        assert np.array_equal(result.params.kernel_weights, weights)
+        assert list(result.objective_trace) == trace
