@@ -22,12 +22,21 @@ matrices, is PSD whenever those Grams are (Schur product theorem).  So
 the PSD rule runs on the base Grams, once per batch, the first time
 :func:`hinge_terms` evaluates it: the trainer and ``total_objective``
 pay for it once, and prediction never does.
+
+Exhaustive MAP needs log det(L_y) for every subset y.  It walks the tree
+of subsets in which each subset extends its parent by one later item:
+the child's log-determinant is the parent's plus the log of one pivot,
+read off the parent's Schur complement, and the child's complement is a
+rank-one update of the parent's.  So each of the 2^N subsets costs one
+update, vectorized over the kernels of a stack and the subsets of a tree
+level, instead of its own factorization; ``MAP_CHUNK_BYTES`` bounds the
+memory this takes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -43,8 +52,8 @@ from .kernel import (
 # Margin-term masses below this floor have log -inf.
 LOG_FLOOR = 1e-300
 
-# Upper bound on the bytes of the submatrix stack that exhaustive MAP
-# factorizes at once; larger enumerations are split into chunks.
+# Upper bound on the bytes of the arrays that exhaustive MAP (and the
+# batched sampler) hold at once; larger stacks are split into chunks.
 MAP_CHUNK_BYTES = 1 << 24
 
 
@@ -305,9 +314,114 @@ def dataset_value_and_grad(batches, theta, weights, lam, omega, want_grad=True,
     return total, g_theta, g_weights, n_singular
 
 
+def _eliminate(X):
+    """One elimination step on the leading item of s x s matrices stacked
+    as X (..., s, s, r), with the axis of the r kernels last.
+
+    Returns the log of the pivot X[..., 0, 0, :] and the Schur complement
+    of that pivot on the other s - 1 items.  Where the pivot is <= 0 the
+    log is -inf and the complement is zero, so every pivot below it is 0.
+    """
+    piv = X[..., 0, 0, :]
+    ok = piv > 0
+    w = np.divide(X[..., 0, 1:, :], piv[..., None, :],
+                  out=np.zeros_like(X[..., 0, 1:, :]), where=ok[..., None, :])
+    comp = X[..., 1:, 0, None, :] * w[..., None, :, :]
+    np.subtract(X[..., 1:, 1:, :], comp, out=comp)
+    np.copyto(comp, 0.0, where=~ok[..., None, None, :])
+    logp = np.full(piv.shape, -np.inf)
+    np.log(piv, out=logp, where=ok)
+    return logp, comp
+
+
 @lru_cache(maxsize=None)
-def _combination_indices(n_items, size):
-    return np.array(list(combinations(range(n_items), size)), dtype=int)
+def _walk_bytes(m):
+    """Upper bound on the bytes per kernel that :func:`_walk` holds at once
+    on m items: two levels of the tree plus one stacked child group."""
+    def level(size):
+        # comb(last, size - 1) nodes end at item ``last``; each holds a
+        # (m - 1 - last)^2 complement and a few scalars
+        return sum(comb(last, size - 1) * ((m - 1 - last) ** 2 + 4)
+                   for last in range(size - 1, m)) if size else m * m
+
+    peak = 0
+    for size in range(1, m + 1):
+        group = max(comb(j, size - 1) * (m - j) * (m - j + 1)
+                    for j in range(size - 1, m))
+        peak = max(peak, level(size - 1) + level(size) + group)
+    return 8 * peak
+
+
+def _map_bytes(m):
+    """Bytes per kernel that :func:`_best_by_size` holds at once on m items."""
+    if m == 0 or _walk_bytes(m) <= MAP_CHUNK_BYTES:
+        return _walk_bytes(m)
+    # a split holds one (m - 1)^2 complement and a few per-size arrays
+    return 8 * ((m - 1) ** 2 + 4 * (m + 1)) + _map_bytes(m - 1)
+
+
+def _walk(L, base):
+    """Best log det(L_y) and subset of every size, for r kernels stacked
+    as L (m, m, r).
+
+    Walks the tree of subsets level by level.  The parent of a node y is y
+    without its last item; y carries log det(L_y) and the Schur complement
+    of L_y on the items after its last one, so its child y + {j} adds the
+    log of that complement's diagonal entry at j (:func:`_eliminate`).  The
+    nodes of a level are stacked by last item.  ``base`` (r,) is the
+    log-determinant the root starts from.
+
+    Returns ``(vals, masks)``, both (m + 1, r): per size, the best
+    log-determinant and a subset attaining it, as a bit mask with bit
+    m - 1 - i for item i.  Of equal values the larger mask, which is the
+    lexicographically first subset, wins.
+    """
+    m, r = L.shape[0], L.shape[-1]
+    vals = np.full((m + 1, r), -np.inf)
+    masks = np.zeros((m + 1, r), dtype=np.int64)
+    vals[0] = base
+    # last item -> (log det (P, r), complement (P, s, s, r), masks (P,))
+    level = {-1: (base[None], L[None], np.zeros(1, dtype=np.int64))}
+    for size in range(1, m + 1):
+        nxt = {}
+        for j in range(size - 1, m):
+            parents = [(j - last - 1, g) for last, g in level.items() if last < j]
+            logp, comp = _eliminate(np.concatenate(
+                [C[:, a:, a:] for a, (_, C, _) in parents]))
+            logdet = np.concatenate([ld for _, (ld, _, _) in parents])
+            mask = np.concatenate([mk for _, (_, _, mk) in parents])
+            nxt[j] = (logdet + logp, comp, mask | (1 << (m - 1 - j)))
+        level = nxt
+        logdet = np.concatenate([ld for ld, _, _ in level.values()])
+        mask = np.concatenate([mk for _, _, mk in level.values()])
+        vals[size] = np.max(logdet, axis=0)
+        tied = np.where(logdet == vals[size], mask[:, None], -1)
+        masks[size] = mask[np.argmax(tied, axis=0)]
+    return vals, masks
+
+
+def _best_by_size(L, base):
+    """:func:`_walk` within ``MAP_CHUNK_BYTES`` per kernel.
+
+    A walk over budget is split into the subtrees of the first item f:
+    the subsets whose smallest item is f are f plus the subsets of the
+    Schur complement of L_ff on the items after f, found by the same
+    search.  Visiting f in increasing order with a strict > keeps, of
+    equal values, the lexicographically first subset.
+    """
+    m = L.shape[0]
+    if m == 0 or _walk_bytes(m) <= MAP_CHUNK_BYTES:
+        return _walk(L, base)
+    vals = np.full((m + 1, L.shape[-1]), -np.inf)
+    masks = np.zeros(vals.shape, dtype=np.int64)
+    vals[0] = base
+    for f in range(m):
+        logp, comp = _eliminate(L[f:, f:])
+        sub_vals, sub_masks = _best_by_size(comp, base + logp)
+        win = sub_vals > vals[1:m - f + 1]
+        vals[1:m - f + 1][win] = sub_vals[win]
+        masks[1:m - f + 1][win] = sub_masks[win] | (1 << (m - 1 - f))
+    return vals, masks
 
 
 def map_exhaustive_stack(L_stack):
@@ -315,30 +429,29 @@ def map_exhaustive_stack(L_stack):
 
     Maximizes det(L_y) over all 2^N subsets of every (N, N) kernel in the
     (n, N, N) stack; the empty set scores det = 1.  Ties go to the smaller
-    subset, then to the lexicographically first.  The submatrices are
-    factorized in chunks of at most ``MAP_CHUNK_BYTES`` over the instance
-    and combination axes, so memory stays bounded for any n.
+    subset, then to the lexicographically first.
+
+    Each kernel must be positive semidefinite, as every kernel the library
+    builds is.  The determinants come from one walk of the subset tree
+    that extends a subset's Cholesky factorization by one item per step,
+    so each subset costs one Schur-complement update instead of a
+    factorization.  A pivot <= 0 marks the subset as singular, and with it
+    its whole subtree: for a PSD kernel a principal submatrix that
+    contains a singular one is singular too, so none of them can win.
+
+    The walk's temporaries stay within ``MAP_CHUNK_BYTES``: kernels are
+    taken in chunks, and a single kernel whose walk would exceed it is
+    split into subtrees (see :func:`_best_by_size`).
     """
     L_stack = np.asarray(L_stack, dtype=float)
     n, N = L_stack.shape[0], L_stack.shape[1]
-    best_val = np.zeros(n)  # empty set: log det = 0
-    best_sub = [()] * n
-    for size in range(1, N + 1):
-        combs = _combination_indices(N, size)
-        per_comb = size * size * L_stack.itemsize
-        c_step = max(1, MAP_CHUNK_BYTES // per_comb)
-        for c0 in range(0, len(combs), c_step):
-            chunk = combs[c0:c0 + c_step]
-            r_step = max(1, MAP_CHUNK_BYTES // (len(chunk) * per_comb))
-            for r0 in range(0, n, r_step):
-                block = L_stack[r0:r0 + r_step]
-                sub = block[:, chunk[:, :, None], chunk[:, None, :]]
-                sign, logdet = np.linalg.slogdet(sub)
-                logdet = np.where(sign > 0, logdet, -np.inf)
-                pick = np.argmax(logdet, axis=1)
-                vals = logdet[np.arange(len(block)), pick]
-                # strict >: earlier chunks and smaller sizes win ties
-                for i in np.nonzero(vals > best_val[r0:r0 + r_step])[0]:
-                    best_val[r0 + i] = vals[i]
-                    best_sub[r0 + i] = tuple(chunk[pick[i]].tolist())
-    return best_sub
+    step = max(1, MAP_CHUNK_BYTES // _map_bytes(N))
+    subsets = []
+    for r0 in range(0, n, step):
+        block = np.moveaxis(L_stack[r0:r0 + step], 0, -1)
+        vals, masks = _best_by_size(block, np.zeros(block.shape[-1]))
+        # first maximum over sizes: the smaller subset wins ties
+        best = masks[np.argmax(vals, axis=0), np.arange(block.shape[-1])]
+        subsets.extend(tuple(i for i in range(N) if mask >> (N - 1 - i) & 1)
+                       for mask in best.tolist())
+    return subsets

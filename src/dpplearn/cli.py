@@ -9,6 +9,8 @@ Subcommands::
     dpplearn experiment --config fig1a.cfg --out-dir runs/fig1a
     dpplearn gradcheck  --n 6 --trials 20
 
+``python -m dpplearn`` runs the same commands without an installed script.
+
 Config files are flat ``key = value`` text (JSON values, dotted keys for
 nesting); an unknown or mistyped key is a data error.  ``--seed``
 overrides any seed in the config.  Exit codes: 0 success, 1 usage error,
@@ -95,7 +97,8 @@ def _build_parser():
     g = sub.add_parser("gradcheck", help="finite-difference gradient check")
     g.add_argument("--n", type=_positive_int, default=6,
                    help="items per random instance")
-    g.add_argument("--trials", type=int, default=20, help="random instances")
+    g.add_argument("--trials", type=_positive_int, default=20,
+                   help="random instances")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--step", type=float, default=1e-5)
     g.add_argument("--tolerance", type=float, default=1e-5)

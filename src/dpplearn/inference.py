@@ -50,11 +50,13 @@ class InferenceConfig:
 
 
 def map_exhaustive(L, exhaustive_limit=20):
-    """The subset maximizing det(L_y), found by enumerating all 2^N.
+    """The subset maximizing det(L_y) over all 2^N subsets of a PSD kernel.
 
-    Ties break toward smaller subsets, then lexicographically.  Raises
-    ParameterError beyond ``exhaustive_limit`` items; use MBR decoding for
-    larger ground sets.
+    Ties break toward smaller subsets, then lexicographically.  The
+    enumeration is :func:`dpplearn.batch.map_exhaustive_stack` on a stack
+    of one: one Schur-complement update per subset, so its cost grows as
+    2^N times a small power of N.  Raises ParameterError beyond
+    ``exhaustive_limit`` items; use MBR decoding for larger ground sets.
     """
     require_enumerable(L.n_items, exhaustive_limit)
     return map_exhaustive_stack(L.matrix[None])[0]

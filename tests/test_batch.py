@@ -1,5 +1,7 @@
 """The vectorized engine must agree with independent per-instance oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,23 @@ def test_build_kernel_is_the_stack_row(rng, dataset):
         assert np.array_equal(build_kernel(inst, params, RBF_SIM).matrix, L_stack[row])
 
 
+def _peak_bytes(fn, *args):
+    """fn(*args) and the peak bytes that tracemalloc saw allocated by it,
+    measured on a second call so that one-time caches do not count."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Array headers, frames and the result list of a walk split down to single
+# items, on top of the numbers the budget covers
+MAP_OBJECT_BYTES = 16 << 10
+
+
 def test_map_stack_chunks_agree_and_return_ints(rng, monkeypatch):
     data = [make_instance(rng, n=7) for _ in range(5)]
     batch = stack_instances(data, RBF_SIM)[0]
@@ -191,22 +210,95 @@ def test_map_stack_chunks_agree_and_return_ints(rng, monkeypatch):
     whole = map_exhaustive_stack(L_stack)
     assert map_exhaustive_stack(dup[None]) == [(0, 2)]
 
-    sizes = []
-    slogdet = np.linalg.slogdet
-
-    def recording_slogdet(a):
-        sizes.append(a.nbytes)
-        return slogdet(a)
-
-    monkeypatch.setattr(np.linalg, "slogdet", recording_slogdet)
     for budget in (1, 500):
         monkeypatch.setattr(batch_mod, "MAP_CHUNK_BYTES", budget)
-        sizes.clear()
-        chunked = map_exhaustive_stack(L_stack)
+        chunked, peak = _peak_bytes(map_exhaustive_stack, L_stack)
         assert chunked == whole
         assert all(type(i) is int for y in chunked for i in y)
-        assert max(sizes) <= max(budget, 7 * 7 * 8)
+        assert peak <= max(budget, 7 * 7 * 8) + MAP_OBJECT_BYTES
         assert map_exhaustive_stack(dup[None]) == [(0, 2)]
+
+
+def _psd_stack(rng, n, N, rank=None):
+    """n random PSD kernels on N items whose MAP sizes vary across the stack."""
+    A = rng.standard_normal((n, N, rank or N + 2))
+    scale = np.exp(rng.uniform(-1.0, 2.0, n)) / A.shape[-1]
+    return scale[:, None, None] * (A @ np.swapaxes(A, 1, 2))
+
+
+def _assert_map_is_oracle(L_stack):
+    got = map_exhaustive_stack(L_stack)
+    assert got == [map_exhaustive_reference(L) for L in L_stack]
+    return got
+
+
+@pytest.mark.parametrize("N", range(1, 11))
+def test_map_stack_matches_oracle_on_random_psd(N):
+    rng = np.random.default_rng(N)
+    got = _assert_map_is_oracle(_psd_stack(rng, 12, N))
+    if N >= 4:
+        assert len({len(y) for y in got}) > 1
+
+
+def test_map_stack_on_rank_deficient_kernels():
+    # rank 3 at N = 8: every subset of more than 3 items is singular
+    got = _assert_map_is_oracle(_psd_stack(np.random.default_rng(3), 30, 8, rank=3))
+    assert max(len(y) for y in got) <= 3
+
+
+def test_map_stack_on_zero_kernels_among_others():
+    L = _psd_stack(np.random.default_rng(4), 6, 5)
+    L[[1, 4]] = 0.0
+    got = _assert_map_is_oracle(L)
+    assert got[1] == got[4] == ()
+
+
+def test_map_stack_with_duplicate_items():
+    # items 1 and 2 copy item 0, item 4 copies item 3: a subset and its
+    # swaps among copies tie exactly, and the lexicographically first wins
+    copies = [0, 0, 0, 1, 1, 2, 3]
+    L = _psd_stack(np.random.default_rng(5), 30, 4)[:, copies][:, :, copies]
+    got = _assert_map_is_oracle(L)
+    for y in got:
+        assert len(set(y) & {0, 1, 2}) <= 1 and len(set(y) & {3, 4}) <= 1
+        assert not set(y) & {1, 2, 4}
+
+
+def test_map_stack_ties_go_to_smaller_then_lexicographically_first():
+    c = 0.45  # a 4-cycle 0-1-3-2-0: only {0, 3} and {1, 2} are uncorrelated
+    cycle = 1.5 * np.array([[1.0, c, c, 0.0], [c, 1.0, 0.0, c],
+                            [c, 0.0, 1.0, c], [0.0, c, c, 1.0]])
+    two_pairs = 2.0 * np.kron(np.eye(2), np.ones((2, 2)))
+    cases = [
+        (np.eye(4), ()),  # every subset ties the empty set
+        (np.diag([2.0, 1.0, 2.0, 0.5]), (0, 2)),  # ties {0, 1, 2}
+        (3.0 * np.ones((2, 2)), (0,)),
+        (two_pairs, (0, 2)),  # ties (0, 3), (1, 2), (1, 3)
+        (cycle, (0, 3)),  # ties (1, 2), whose last item is smaller
+    ]
+    for L, want in cases:
+        assert map_exhaustive_stack(L[None]) == [want]
+        assert map_exhaustive_reference(L) == want
+
+
+def test_map_stack_subtree_split_equals_one_walk(monkeypatch):
+    rng = np.random.default_rng(6)
+    stacks = [_psd_stack(rng, 3, N) for N in (14, 15, 16)]
+    whole = [map_exhaustive_stack(L) for L in stacks]
+    budget = 1 << 18  # under one 14-item walk: 16 items split three levels deep
+    monkeypatch.setattr(batch_mod, "MAP_CHUNK_BYTES", budget)
+    for L, want in zip(stacks, whole):
+        got, peak = _peak_bytes(map_exhaustive_stack, L)
+        assert got == want
+        assert peak <= budget
+
+
+def test_map_stack_temporaries_stay_within_the_budget():
+    # one walk of 16 items holds about 1.4 MB per kernel, 29 MB for all 20
+    L = _psd_stack(np.random.default_rng(7), 20, 16)
+    got, peak = _peak_bytes(map_exhaustive_stack, L)
+    assert peak <= batch_mod.MAP_CHUNK_BYTES
+    assert len(got) == 20
 
 
 def _resolvent_case(rng, kind):

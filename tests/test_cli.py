@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dpplearn
 from dpplearn.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, cli_main
 
 
@@ -106,6 +111,26 @@ def test_gradcheck_nonpositive_n_is_usage_error(capsys, n):
     assert cli_main(["gradcheck", "--n", n, "--trials", "1"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--n" in err and n in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_gradcheck_nonpositive_trials_is_usage_error(capsys, trials):
+    assert cli_main(["gradcheck", "--trials", trials]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--trials" in err and trials in err
+
+
+def test_python_dash_m_runs_the_cli():
+    # the package's own source tree first, as for a checkout without an install
+    src = str(Path(dpplearn.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpplearn", "gradcheck", "--trials", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "max relative error" in proc.stdout
 
 
 def test_eval_mismatched_counts_is_data_error(tmp_path, gen_cfg, capsys):
