@@ -14,14 +14,21 @@ singular-label rule are those of the per-instance kernel API:
 :func:`dpplearn.kernel.kernel_stack`, ``clamp_psd_stack`` and
 ``label_spectra``.
 
-The normalizer log det(L + I) and the resolvent (L + I)^{-1} come from a
-batched Cholesky factorization and one batched inverse, with no
-spectrum.  That is sound because L + I is positive definite whenever L
-is PSD, and L = diag(q) S diag(q), with S a simplex mix of the base Gram
-matrices, is PSD whenever those Grams are (Schur product theorem).  So
-the PSD rule runs on the base Grams, once per batch, the first time
+A training pass makes one batched Cholesky factorization and no LU or
+eigenvector work.  The normalizer log det(L + I) and the resolvent
+(L + I)^{-1} = X^T X, X the inverse of the Cholesky factor found by
+batched forward substitution, come from that one factorization.  That is
+sound because L + I is positive definite whenever L is PSD, and
+L = diag(q) S diag(q), with S a simplex mix of the base Gram matrices,
+is PSD whenever those Grams are (Schur product theorem).  So the PSD
+rule runs on the base Grams, once per batch, the first time
 :func:`hinge_terms` evaluates it: the trainer and ``total_objective``
-pay for it once, and prediction never does.
+pay for it once, and prediction never does.  Label submatrices need
+only their eigenvalues, for the singular-label rule and log det(L_y).
+The theta gradient is in closed form: since log det L_y is
+2 sum_{i in y} theta . x_i + log det S_y, it needs no label inverse.
+Only the kernel-weight gradient does, and gets the inverses of all
+labels of a stack from one padded Cholesky factorization.
 
 Exhaustive MAP needs log det(L_y) for every subset y.  It walks the tree
 of subsets in which each subset extends its parent by one later item:
@@ -40,7 +47,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import NotPositiveSemidefiniteError, ParameterError
+from .errors import NotPositiveSemidefiniteError, NumericalError, ParameterError
 from .kernel import (
     base_similarity_stack,
     clamp_psd_stack,
@@ -117,10 +124,6 @@ def build_L_stack(batch, theta, weights):
     return q, kernel_stack(q, batch.grams, weights)
 
 
-def _batched_inv_from_eigh(evals, evecs):
-    return (evecs / evals[:, None, :]) @ np.swapaxes(evecs, -1, -2)
-
-
 def check_grams(batch, context=""):
     """Apply the PSD rule of :func:`~dpplearn.kernel.clamp_psd_stack` to
     every base Gram matrix of a batch, once per batch.
@@ -141,23 +144,32 @@ def check_grams(batch, context=""):
 def resolvent_stack(L, indices=None, context=""):
     """log det(L + I) and (L + I)^{-1} for a (n, N, N) kernel stack.
 
-    One batched Cholesky factorization of L + I gives the log-determinant
-    as twice the log-sum of the factor's diagonal; one batched inverse
-    gives the resolvent.  When some L + I has no Cholesky factor, raises
+    One batched Cholesky factorization L + I = C C^T gives the
+    log-determinant as twice the log-sum of the diagonal of C, and the
+    resolvent as X^T X with X = C^{-1} (:func:`_inverse_from_cholesky`).
+    When some L + I has no Cholesky factor, raises
     NotPositiveSemidefiniteError naming the first such kernel by its
     entry in ``indices``.
     """
-    B = L + np.eye(L.shape[-1])
+    C = _cholesky(L + np.eye(L.shape[-1]), indices, NotPositiveSemidefiniteError,
+                  f"has no Cholesky factor of L + I{context}: it is not "
+                  "positive semidefinite")
+    logdet = 2.0 * np.sum(np.log(np.diagonal(C, axis1=1, axis2=2)), axis=1)
+    return logdet, _inverse_from_cholesky(C)
+
+
+def _cholesky(B, indices, error, reason):
+    """Batched Cholesky factors of the (n, N, N) stack B.
+
+    When some matrix has none, raises ``error`` naming the first such one
+    by its entry in ``indices`` (its row when ``indices`` is None).
+    """
     try:
-        chol = np.linalg.cholesky(B)
+        return np.linalg.cholesky(B)
     except np.linalg.LinAlgError:
         row = next(r for r, M in enumerate(B) if not _has_cholesky(M))
-        name = "" if indices is None else f" for instance {int(indices[row])}"
-        raise NotPositiveSemidefiniteError(
-            f"kernel{name} has no Cholesky factor of L + I{context}: it is not "
-            "positive semidefinite") from None
-    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    return logdet, np.linalg.inv(B)
+        name = f"row {row}" if indices is None else f"instance {int(indices[row])}"
+        raise error(f"kernel for {name} {reason}") from None
 
 
 def _has_cholesky(M):
@@ -168,35 +180,67 @@ def _has_cholesky(M):
     return True
 
 
+def _inverse_from_cholesky(C):
+    """(C C^T)^{-1} = X^T X for a (n, N, N) stack of lower Cholesky factors.
+
+    X = C^{-1} is lower triangular; forward substitution finds it one row
+    at a time, X_i = (e_i - sum_{k<i} C_ik X_k) / C_ii, vectorized over
+    the stack with the kernel axis last, as in :func:`_eliminate`.
+    """
+    N = C.shape[-1]
+    Ct = np.moveaxis(C, 0, -1)
+    X = np.zeros_like(Ct)
+    for i in range(N):
+        X[i, :i] = np.einsum("kn,kjn->jn", Ct[i, :i], X[:i, :i]) / -Ct[i, i]
+        X[i, i] = 1.0 / Ct[i, i]
+    X = np.moveaxis(X, -1, 0)
+    return np.swapaxes(X, -1, -2) @ X
+
+
 def label_terms(L, size_groups, invB=None):
     """Label log-determinants and, given ``invB``, d log P(y) / dL.
 
-    Returns ``(logdet_y, singular, G)``.  A label that is singular by
-    :func:`~dpplearn.kernel.label_spectra` has the finite surrogate
-    log-determinant and a zero row of G.  For the other rows G is the
-    inverse of L_y zero-padded to N x N, minus ``invB`` = (L + I)^{-1}.
-    G is None when ``invB`` is.
+    Returns ``(logdet_y, singular, G)``.  ``logdet_y`` and ``singular``
+    come from the eigenvalues of the label submatrices, one
+    :func:`~dpplearn.kernel.label_spectra` call per label size; a
+    singular label has the finite surrogate log-determinant.  G is None
+    when ``invB`` = (L + I)^{-1} is, and :func:`loglik_grad` of the
+    labels otherwise.
     """
     n = L.shape[0]
     logdet_y = np.zeros(n)
     singular = np.zeros(n, dtype=bool)
-    inv_pad = None if invB is None else np.zeros_like(L)
-    for size, rows, labs in size_groups:
+    mask = np.zeros(L.shape[:2], dtype=bool)
+    for _, rows, labs in size_groups:
         sub = L[rows[:, None, None], labs[:, :, None], labs[:, None, :]]
-        logdet, sing, evals, evecs = label_spectra(sub)
-        logdet_y[rows] = logdet
-        singular[rows] = sing
-        if inv_pad is not None and np.any(~sing):
-            keep = ~sing
-            inv = _batched_inv_from_eigh(evals[keep], evecs[keep])
-            r = rows[keep]
-            lb = labs[keep]
-            inv_pad[r[:, None, None], lb[:, :, None], lb[:, None, :]] = inv
+        logdet_y[rows], singular[rows] = label_spectra(sub)
+        mask[rows[:, None], labs] = True
     if invB is None:
         return logdet_y, singular, None
-    G = inv_pad - invB
+    return logdet_y, singular, loglik_grad(L, mask, singular, invB)
+
+
+def loglik_grad(L, mask, singular, invB, indices=None, context=""):
+    """d log P(y) / dL per row: the inverse of L_y zero-padded to N x N,
+    minus ``invB`` = (L + I)^{-1}, and zero on rows flagged ``singular``.
+
+    The label inverses of the whole stack come from one Cholesky
+    factorization of L_y padded with the identity off the label (the
+    identity on singular rows), through the inverse of
+    :func:`resolvent_stack`.  A padded matrix without a Cholesky factor
+    raises NumericalError naming the instance by its entry in
+    ``indices``.
+    """
+    keep = mask & ~singular[:, None]
+    both = keep[:, :, None] & keep[:, None, :]
+    C = _cholesky(np.where(both, L, np.eye(L.shape[-1])), indices,
+                  NumericalError, f"has a label submatrix without a Cholesky "
+                  f"factor{context}")
+    G = _inverse_from_cholesky(C)
+    G[~both] = 0.0
+    G -= invB
     G[singular] = 0.0
-    return logdet_y, singular, G
+    return G
 
 
 def margin_mass(kdiag, mask, omega):
@@ -244,6 +288,27 @@ def _grad_blocks(want_grad):
     return want_grad in (True, "theta"), want_grad in (True, "weights")
 
 
+def theta_rates(kdiag, invB, mask, singular, omega, A, lam):
+    """r_i = sum_j U_ij L_ij for the hinge's dF/dL = U, per row, without U.
+
+    dF/dtheta is then 2 sum_i r_i x_i.  Since (L_y^{-1} L_y)_ii = 1 on
+    the label and (L + I)^{-1} L = I - (L + I)^{-1},
+
+        r_i = [label nonsingular] (K_ii - [i in y])
+              + (lam / A) (B_ii D_i - sum_j B_ij^2 D_j),
+
+    with B = ``invB`` = (L + I)^{-1}, ``kdiag`` = diag K = 1 - diag B and D
+    as in :func:`margin_grad`; the second line is left out at lam = 0.
+    """
+    r = np.where(mask, kdiag - 1.0, kdiag)
+    r[singular] = 0.0
+    if lam > 0:
+        d = np.where(mask, -omega, 1.0)
+        binv_d = np.diagonal(invB, axis1=1, axis2=2) * d
+        r += (lam / A)[:, None] * (binv_d - np.einsum("mij,mj->mi", invB**2, d))
+    return r
+
+
 def hinge_terms(batch, theta, weights, lam, omega, want_grad, context=""):
     """Hinge objective pieces and (optionally) its subgradient for one batch.
 
@@ -256,14 +321,19 @@ def hinge_terms(batch, theta, weights, lam, omega, want_grad, context=""):
     so the objective stays recordable, and contribute only the
     margin-term gradient.  The first call on a batch runs
     :func:`check_grams`.
+
+    Every pass factors L + I once (:func:`resolvent_stack`) and takes
+    only the eigenvalues of the label submatrices.  The theta block is in
+    closed form (:func:`theta_rates`); the weights block chains
+    dF/dL = -:func:`loglik_grad` + :func:`margin_grad` of the rows with
+    an active hinge, and so adds one padded Cholesky factorization of
+    their labels.
     """
     want_theta, want_weights = _grad_blocks(want_grad)
     check_grams(batch, context)
     q, L = build_L_stack(batch, theta, weights)
     logdetB, invB = resolvent_stack(L, batch.indices, context)
-    logdet_y, singular, G = label_terms(
-        L, batch.size_groups, invB if want_grad else None
-    )
+    logdet_y, singular, _ = label_terms(L, batch.size_groups)
     kdiag = 1.0 - np.diagonal(invB, axis1=1, axis2=2)
     A, logA = margin_mass(kdiag, batch.mask, omega)
 
@@ -280,12 +350,15 @@ def hinge_terms(batch, theta, weights, lam, omega, want_grad, context=""):
     act = np.nonzero(z > 0)[0]
     if act.size == 0:
         return value, g_theta, g_weights, n_singular
-    U = -G[act]
-    if lam > 0:
-        U += margin_grad(invB[act], batch.mask[act], omega, A[act], lam)
+    invB, mask, singular, A = invB[act], batch.mask[act], singular[act], A[act]
     if want_theta:
-        g_theta = chain_to_theta(U, L[act], batch.X[act])
+        r = theta_rates(kdiag[act], invB, mask, singular, omega, A, lam)
+        g_theta = 2.0 * np.einsum("mi,mid->d", r, batch.X[act])
     if want_weights:
+        U = -loglik_grad(L[act], mask, singular, invB, batch.indices[act],
+                         context)
+        if lam > 0:
+            U += margin_grad(invB, mask, omega, A, lam)
         g_weights = chain_to_weights(U, q[act], batch.grams[act])
     return value, g_theta, g_weights, n_singular
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -77,6 +78,17 @@ def _positive_int(text):
     return value
 
 
+def _positive_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text}")
+    return value
+
+
 def _build_parser():
     parser = _Parser(prog="dpplearn", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -100,8 +112,10 @@ def _build_parser():
     g.add_argument("--trials", type=_positive_int, default=20,
                    help="random instances")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--step", type=float, default=1e-5)
-    g.add_argument("--tolerance", type=float, default=1e-5)
+    g.add_argument("--step", type=_positive_float, default=1e-5,
+                   help="central-difference step")
+    g.add_argument("--tolerance", type=_positive_float, default=1e-5,
+                   help="largest accepted relative error")
     return parser
 
 

@@ -371,18 +371,19 @@ def marginal_kernel_from_L(L):
 def label_spectra(sub):
     """The singular-label rule for a (m, k, k) stack of label submatrices.
 
-    Returns ``(logdet, singular, evals, evecs)`` from the eigendecomposition
-    of each submatrix.  A submatrix whose smallest eigenvalue is at most
-    ``LABEL_SINGULAR_RTOL`` times its largest is singular; its logdet is
-    the trainer's finite surrogate, sum log(max(eig, 0) + LABEL_JITTER),
-    and every other row's is sum log(eig).
+    Returns ``(logdet, singular)`` from the eigenvalues of each
+    submatrix; no eigenvectors are computed.  A submatrix whose smallest
+    eigenvalue is at most ``LABEL_SINGULAR_RTOL`` times its largest is
+    singular; its logdet is the trainer's finite surrogate,
+    sum log(max(eig, 0) + LABEL_JITTER), and every other row's is
+    sum log(eig).
     """
-    evals, evecs = np.linalg.eigh(sub)
+    evals = np.linalg.eigvalsh(sub)
     singular = evals[:, 0] <= np.maximum(0.0, LABEL_SINGULAR_RTOL * evals[:, -1])
     safe = np.where(
         singular[:, None], np.maximum(evals, 0.0) + LABEL_JITTER, evals
     )
-    return np.sum(np.log(safe), axis=1), singular, evals, evecs
+    return np.sum(np.log(safe), axis=1), singular
 
 
 def log_subset_det(L_matrix, y):
@@ -393,7 +394,7 @@ def log_subset_det(L_matrix, y):
     """
     if not y:
         return 0.0
-    logdet, singular, _, _ = label_spectra(np.asarray(L_matrix)[np.ix_(y, y)][None])
+    logdet, singular = label_spectra(np.asarray(L_matrix)[np.ix_(y, y)][None])
     return -math.inf if singular[0] else float(logdet[0])
 
 

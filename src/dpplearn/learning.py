@@ -62,7 +62,8 @@ class TrainConfig:
     grad_clip : float
         Cap on the norm of each block's average subgradient.  Labels that
         are nearly impossible under the current kernel make the inverse of
-        the label submatrix, and hence the subgradient, arbitrarily large;
+        the label submatrix, and hence the kernel-weight subgradient,
+        arbitrarily large;
         clipping keeps single pathological instances from destroying the
         iterate while preserving the descent direction.
     l2_theta : float

@@ -23,6 +23,7 @@ from dpplearn import (
     GroundSetInstance,
     ModelParams,
     NotPositiveSemidefiniteError,
+    NumericalError,
     SimilarityConfig,
     TrainConfig,
     build_kernel,
@@ -362,3 +363,77 @@ def test_partial_gradients_are_the_full_gradient_blocks(rng, dataset):
     assert full[0] == only_theta[0] == only_weights[0] == value[0]
     assert np.array_equal(only_theta[1], full[1]) and only_theta[2] is None
     assert np.array_equal(only_weights[2], full[2]) and only_weights[1] is None
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.5])
+def test_closed_form_theta_gradient_matches_the_chain_rule(lam):
+    # rank-3 linear similarity: labels of more than 3 items are singular
+    rng = np.random.default_rng(11)
+    data = [make_instance(rng, n=6, label_size=int(rng.integers(0, 6)))
+            for _ in range(40)]
+    theta = 0.4 * rng.standard_normal(3)
+    params = ModelParams(theta, np.ones(1))
+    omega = 2.0
+    config = TrainConfig(similarity=TRUE_SIMILARITY, lam=lam, omega=omega)
+    batch = stack_instances(data, TRUE_SIMILARITY)[0]
+    _, g_theta, g_weights, n_sing = hinge_terms(
+        batch, theta, np.ones(1), lam, omega, "theta")
+    assert g_weights is None
+
+    ref = np.zeros(3)
+    singular = 0
+    for inst in data:
+        L = kernel_reference(inst, params, TRUE_SIMILARITY)
+        y = inst.label
+        U = np.zeros_like(L)
+        if lam > 0:
+            U += lam * margin_grad_reference(L, y, omega)
+        if len(y) > 3:
+            singular += 1
+            assert instance_objective(params, inst, config) > 0
+        elif hinge_reference(L, y, lam, omega) > 0:
+            U -= loglik_grad_reference(L, y)
+        else:
+            continue
+        ref += chain_reference(inst, params, TRUE_SIMILARITY, U)[0]
+    assert 0 < n_sing == singular < len(data)
+    assert np.max(np.abs(g_theta - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+
+def _count_linalg(monkeypatch):
+    """Count the calls to numpy.linalg's cholesky, inv and eigh."""
+    calls = dict.fromkeys(("cholesky", "inv", "eigh"), 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_passes_factor_by_cholesky_alone(rng, monkeypatch):
+    data = [make_instance(rng, n=n) for n in (5, 6, 5, 6, 6, 5)]
+    batches = stack_instances(data, RBF_SIM)
+    theta = 0.4 * rng.standard_normal(3)
+    weights = project_to_simplex(rng.random(3))
+    calls = _count_linalg(monkeypatch)
+    _, g_t, _, _ = dataset_value_and_grad(batches, theta, weights, 1.5, 2.0,
+                                          "theta")
+    assert calls == {"cholesky": len(batches), "inv": 0, "eigh": 0}
+    assert g_t.any()
+
+    calls.update(cholesky=0)
+    _, _, g_w, _ = dataset_value_and_grad(batches, theta, weights, 1.5, 2.0,
+                                          "weights")
+    # one factorization of L + I and one of the padded labels per batch
+    assert calls == {"cholesky": 2 * len(batches), "inv": 0, "eigh": 0}
+    assert g_w.any()
+
+
+def test_label_inverse_without_cholesky_factor_names_the_instance():
+    L = np.stack([np.eye(3), np.diag([1.0, -1.0, 1.0])])
+    mask = np.array([[True, True, False], [True, True, False]])
+    with pytest.raises(NumericalError, match="instance 5 .*iteration 2"):
+        batch_mod.loglik_grad(L, mask, np.zeros(2, dtype=bool), np.eye(3)[None],
+                              np.array([4, 5]), " (training iteration 2)")

@@ -120,6 +120,16 @@ def test_gradcheck_nonpositive_trials_is_usage_error(capsys, trials):
     assert err.count("\n") == 1 and "--trials" in err and trials in err
 
 
+@pytest.mark.parametrize("flag", ["step", "tolerance"])
+@pytest.mark.parametrize("value", ["0", "-1e-5", "nan", "inf"])
+def test_gradcheck_bad_float_is_usage_error(capsys, flag, value):
+    argv = ["gradcheck", "--trials", "1", f"--{flag}={value}"]
+    assert cli_main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"dpplearn: argument --{flag}: ") and value in err
+
+
 def test_python_dash_m_runs_the_cli():
     # the package's own source tree first, as for a checkout without an install
     src = str(Path(dpplearn.__file__).resolve().parent.parent)
