@@ -11,8 +11,8 @@ Every formula is defined here once.  The per-instance functions in
 stack of one; slow, independent reference implementations live in the
 test suite's ``oracles.py``.  The assembly of L, the PSD rule and the
 singular-label rule are those of the per-instance kernel API:
-:func:`dpplearn.kernel.kernel_stack`, ``clamp_psd_stack`` and
-``label_spectra``.
+:func:`dpplearn.kernel.similarity_stack` with ``kernel_stack``,
+``clamp_psd_stack`` and ``label_spectra``.
 
 A training pass makes one batched Cholesky factorization and no LU or
 eigenvector work.  The normalizer log det(L + I) and the resolvent
@@ -23,12 +23,18 @@ L = diag(q) S diag(q), with S a simplex mix of the base Gram matrices,
 is PSD whenever those Grams are (Schur product theorem).  So the PSD
 rule runs on the base Grams, once per batch, the first time
 :func:`hinge_terms` evaluates it: the trainer and ``total_objective``
-pay for it once, and prediction never does.  Label submatrices need
-only their eigenvalues, for the singular-label rule and log det(L_y).
-The theta gradient is in closed form: since log det L_y is
-2 sum_{i in y} theta . x_i + log det S_y, it needs no label inverse.
-Only the kernel-weight gradient does, and gets the inverses of all
-labels of a stack from one padded Cholesky factorization.
+pay for it once, and prediction never does.
+
+Labels are scored on S: log det L_y = 2 sum_{i in y} theta . x_i +
+log det S_y, and the singular-label rule looks at the unit-diagonal form
+of the label submatrix, which is the same for L_y as for S_y.  So the
+label spectra depend on the kernel weights alone, and each batch keeps
+those of the last weight vector it saw: a theta-only fit takes them once,
+a joint fit once per new weight vector.  The objective is a smooth
+function of theta.  The theta gradient is in closed form and needs no
+label inverse.  Only the kernel-weight gradient does, and gets the
+inverses of all labels of a stack from one padded Cholesky
+factorization.
 
 Exhaustive MAP needs log det(L_y) for every subset y.  It walks the tree
 of subsets in which each subset extends its parent by one later item:
@@ -54,6 +60,7 @@ from .kernel import (
     kernel_stack,
     label_spectra,
     quality_stack,
+    similarity_stack,
 )
 
 # Margin-term masses below this floor have log -inf.
@@ -68,7 +75,7 @@ class InstanceBatch:
     """Instances with a common item count, stacked for array evaluation."""
 
     __slots__ = ("indices", "X", "grams", "mask", "size_groups", "n", "n_items",
-                 "grams_checked")
+                 "grams_checked", "label_cache")
 
     def __init__(self, dataset_positions, instances, similarity):
         self.indices = np.asarray(dataset_positions, dtype=int)
@@ -83,6 +90,8 @@ class InstanceBatch:
             self.mask[row, list(inst.label or ())] = True
         self.size_groups = label_groups(self.mask)
         self.grams_checked = False
+        # (weight bytes, log det S_y, singular) of similarity_label_terms
+        self.label_cache = None
 
 
 def label_groups(mask):
@@ -121,7 +130,7 @@ def stack_instances(dataset, similarity):
 def build_L_stack(batch, theta, weights):
     """Qualities (n, N) and kernels (n, N, N) for every instance in a batch."""
     q = quality_stack(batch.X, theta)
-    return q, kernel_stack(q, batch.grams, weights)
+    return q, kernel_stack(q, similarity_stack(batch.grams, weights))
 
 
 def check_grams(batch, context=""):
@@ -201,11 +210,12 @@ def label_terms(L, size_groups, invB=None):
     """Label log-determinants and, given ``invB``, d log P(y) / dL.
 
     Returns ``(logdet_y, singular, G)``.  ``logdet_y`` and ``singular``
-    come from the eigenvalues of the label submatrices, one
-    :func:`~dpplearn.kernel.label_spectra` call per label size; a
-    singular label has the finite surrogate log-determinant.  G is None
-    when ``invB`` = (L + I)^{-1} is, and :func:`loglik_grad` of the
-    labels otherwise.
+    come from one :func:`~dpplearn.kernel.label_spectra` call per label
+    size, which scores each label submatrix on its unit-diagonal form; a
+    singular label has the finite surrogate log-determinant.  L may be a
+    stack of kernels or of similarities S, whose labels have the same
+    singular flags.  G is None when ``invB`` = (L + I)^{-1} is, and
+    :func:`loglik_grad` of the labels otherwise.
     """
     n = L.shape[0]
     logdet_y = np.zeros(n)
@@ -309,6 +319,25 @@ def theta_rates(kdiag, invB, mask, singular, omega, A, lam):
     return r
 
 
+def similarity_label_terms(batch, S, weights):
+    """log det S_y and the singular flags of every label of a batch.
+
+    ``S`` is the batch's :func:`~dpplearn.kernel.similarity_stack` at
+    ``weights``.  The label spectra are taken by :func:`label_terms` once
+    per weight vector: a one-entry cache on the batch, keyed by the bytes
+    of ``weights``, returns them again while the weights stay the same,
+    as they do across every pass of a theta-only fit.  The returned
+    arrays are read-only.
+    """
+    key = np.asarray(weights, dtype=float).tobytes()
+    if batch.label_cache is None or batch.label_cache[0] != key:
+        logdet_S, singular, _ = label_terms(S, batch.size_groups)
+        logdet_S.setflags(write=False)
+        singular.setflags(write=False)
+        batch.label_cache = (key, logdet_S, singular)
+    return batch.label_cache[1:]
+
+
 def hinge_terms(batch, theta, weights, lam, omega, want_grad, context=""):
     """Hinge objective pieces and (optionally) its subgradient for one batch.
 
@@ -322,8 +351,13 @@ def hinge_terms(batch, theta, weights, lam, omega, want_grad, context=""):
     margin-term gradient.  The first call on a batch runs
     :func:`check_grams`.
 
-    Every pass factors L + I once (:func:`resolvent_stack`) and takes
-    only the eigenvalues of the label submatrices.  The theta block is in
+    Every pass builds S once and L = diag(q) S diag(q) from it, and
+    factors L + I once (:func:`resolvent_stack`).  The labels are scored
+    on S: log det L_y = log det S_y + 2 sum_{i in y} x_i . theta, and
+    the label spectra of S come from :func:`similarity_label_terms`, so
+    a fit takes them once per kernel-weight vector, not once per pass.
+    The value is therefore a smooth function of theta, and which labels
+    are singular depends on the weights alone.  The theta block is in
     closed form (:func:`theta_rates`); the weights block chains
     dF/dL = -:func:`loglik_grad` + :func:`margin_grad` of the rows with
     an active hinge, and so adds one padded Cholesky factorization of
@@ -331,9 +365,12 @@ def hinge_terms(batch, theta, weights, lam, omega, want_grad, context=""):
     """
     want_theta, want_weights = _grad_blocks(want_grad)
     check_grams(batch, context)
-    q, L = build_L_stack(batch, theta, weights)
+    q = quality_stack(batch.X, theta)
+    S = similarity_stack(batch.grams, weights)
+    L = kernel_stack(q, S)
     logdetB, invB = resolvent_stack(L, batch.indices, context)
-    logdet_y, singular, _ = label_terms(L, batch.size_groups)
+    logdet_S, singular = similarity_label_terms(batch, S, weights)
+    logdet_y = logdet_S + 2.0 * np.sum(batch.X @ theta, axis=1, where=batch.mask)
     kdiag = 1.0 - np.diagonal(invB, axis1=1, axis2=2)
     A, logA = margin_mass(kdiag, batch.mask, omega)
 

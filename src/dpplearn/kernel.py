@@ -34,12 +34,13 @@ from .errors import NotPositiveSemidefiniteError, ParameterError
 # are rounding noise and clamped to zero; see clamp_psd_stack.
 EIG_CLAMP_TOL = 1e-6
 
-# A label submatrix whose smallest eigenvalue is at most this fraction of
-# its largest counts as numerically singular.
+# A label submatrix whose unit-diagonal form has its smallest eigenvalue at
+# most this fraction of its largest counts as numerically singular.
 LABEL_SINGULAR_RTOL = 1e-8
 
-# Jitter added to clamped submatrix eigenvalues when producing the finite
-# surrogate log-determinant for a singular label.
+# Jitter added to the clamped eigenvalues of a singular label's unit-diagonal
+# form for its finite surrogate log-determinant.  Those eigenvalues sum to
+# the label size whatever the scale of L, so the jitter is relative.
 LABEL_JITTER = 1e-10
 
 # Loose enough that finite-difference probes (step ~1e-5) of the objective
@@ -291,14 +292,20 @@ def quality_stack(X, theta):
     return np.exp(X @ theta)
 
 
-def kernel_stack(q, grams, weights):
-    """The one assembly of L: L_ij = q_i q_j S_ij with S = sum_k w_k G^k.
+def similarity_stack(grams, weights):
+    """The one mix of base kernels: S = sum_k w_k G^k for the (n, K, N, N)
+    base Gram matrices ``grams`` of n ground sets; returns (n, N, N)."""
+    return np.einsum("k,nkij->nij", weights, grams)
 
-    ``q`` (n, N) holds the qualities and ``grams`` (n, K, N, N) the base
-    Gram matrices of n ground sets; returns the (n, N, N) kernels.  The
-    trainer, data generation, prediction and build_kernel all use it.
+
+def kernel_stack(q, S):
+    """The one assembly of L: L_ij = q_i q_j S_ij.
+
+    ``q`` (n, N) holds the qualities and ``S`` (n, N, N) the similarities
+    (:func:`similarity_stack`) of n ground sets; returns the (n, N, N)
+    kernels.  The trainer, data generation, prediction and build_kernel
+    all use it.
     """
-    S = np.einsum("k,nkij->nij", weights, grams)
     return q[:, :, None] * q[:, None, :] * S
 
 
@@ -316,9 +323,7 @@ def build_similarity_matrix(instance, config, weights):
             f"expected {config.n_weights} kernel weights, got {w.size}"
         )
     check_simplex(w)
-    grams = base_similarity_stack(instance, config)
-    # S is the kernel at unit quality
-    return kernel_stack(np.ones((1, instance.n_items)), grams[None], w)[0]
+    return similarity_stack(base_similarity_stack(instance, config)[None], w)[0]
 
 
 def build_quality_vector(instance, theta):
@@ -346,8 +351,7 @@ def assemble_L(q, S):
         raise ParameterError("qualities must be strictly positive")
     if S.size and np.max(np.abs(S - S.T)) > SYMMETRY_TOL:
         raise ParameterError("similarity matrix is not symmetric")
-    # S enters as a bank of one base kernel with weight 1
-    return EnsembleKernel.from_matrix(kernel_stack(q[None], S[None, None], [1.0])[0])
+    return EnsembleKernel.from_matrix(kernel_stack(q[None], S[None])[0])
 
 
 def build_kernel(instance, params, similarity):
@@ -371,26 +375,37 @@ def marginal_kernel_from_L(L):
 def label_spectra(sub):
     """The singular-label rule for a (m, k, k) stack of label submatrices.
 
-    Returns ``(logdet, singular)`` from the eigenvalues of each
-    submatrix; no eigenvectors are computed.  A submatrix whose smallest
-    eigenvalue is at most ``LABEL_SINGULAR_RTOL`` times its largest is
-    singular; its logdet is the trainer's finite surrogate,
-    sum log(max(eig, 0) + LABEL_JITTER), and every other row's is
-    sum log(eig).
+    Returns ``(logdet, singular)``.  Each submatrix M is scored on its
+    unit-diagonal form R = D^{-1/2} M D^{-1/2}, D = diag(M), as
+    log det M = sum_i log M_ii + log det R.  For L = diag(q) S diag(q),
+    R is the same for L_y as for S_y, so the rule does not depend on the
+    qualities, and its eigenvalues sum to k whatever the scale of L.
+    A submatrix is singular when it has a diagonal entry <= 0 or when the
+    smallest eigenvalue of R is at most ``LABEL_SINGULAR_RTOL`` times its
+    largest.  A singular row's logdet is the trainer's finite surrogate:
+    the eigenvalues of R enter as log(max(eig, 0) + LABEL_JITTER), and a
+    diagonal entry <= 0 is left unscaled and adds no log M_ii.  Only
+    eigenvalues are computed.
     """
-    evals = np.linalg.eigvalsh(sub)
-    singular = evals[:, 0] <= np.maximum(0.0, LABEL_SINGULAR_RTOL * evals[:, -1])
+    d = np.diagonal(sub, axis1=1, axis2=2)
+    positive = d > 0
+    d = np.where(positive, d, 1.0)
+    scale = 1.0 / np.sqrt(d)
+    evals = np.linalg.eigvalsh(sub * scale[:, :, None] * scale[:, None, :])
+    singular = ~np.all(positive, axis=1) | (
+        evals[:, 0] <= np.maximum(0.0, LABEL_SINGULAR_RTOL * evals[:, -1]))
     safe = np.where(
         singular[:, None], np.maximum(evals, 0.0) + LABEL_JITTER, evals
     )
-    return np.sum(np.log(safe), axis=1), singular
+    return np.sum(np.log(d), axis=1) + np.sum(np.log(safe), axis=1), singular
 
 
 def log_subset_det(L_matrix, y):
     """log det of the principal submatrix indexed by y, -inf when singular.
 
-    Singular is the trainer's rule, :func:`label_spectra`; det over the
-    empty index set is 1 by definition.
+    Singular, and the log-determinant otherwise, are those of the
+    trainer's rule, :func:`label_spectra`, on the unit-diagonal form of
+    the submatrix; det over the empty index set is 1 by definition.
     """
     if not y:
         return 0.0
@@ -403,7 +418,9 @@ def log_probability(L, y):
 
     Returns -inf (never raises) on exactly the labels the trainer counts
     as singular (:func:`label_spectra`), where the trainer's objective
-    uses a finite surrogate instead.
+    uses a finite surrogate instead; on every other label log det(L_y)
+    is the trainer's, sum_i log L_ii plus the log-determinant of the
+    unit-diagonal form.
     """
     y = as_subset(y, L.n_items)
     return log_subset_det(L.matrix, y) - L.log_normalizer()

@@ -12,6 +12,14 @@ subsets that disagree with the label, weighted by how much they disagree.
 The objective and its gradients are computed in :mod:`dpplearn.batch`; the
 per-instance functions here evaluate it on a stack of one.
 
+With L = diag(q) S diag(q), log det L_y = 2 sum_{i in y} theta . x_i +
+log det S_y, and the singular-label rule looks only at the unit-diagonal
+form of S_y (:func:`dpplearn.kernel.label_spectra`).  So the objective is
+a smooth function of theta, the set of singular labels depends on the
+kernel weights alone, and a fit takes the label spectra once per
+kernel-weight vector rather than once per pass.  Its relative change
+between iterations is then a meaningful stopping test.
+
 Optimization is block-alternating projected subgradient descent: a block
 of steps on theta with the kernel weights fixed, then a block of projected
 steps on the kernel weights, repeating with a diminishing step size.
@@ -57,8 +65,9 @@ class TrainConfig:
     alternation_block : int
         Inner subgradient steps per parameter block.
     rel_tolerance : float
-        Stop when the objective changes by less than this relative amount
-        between outer iterations.
+        Stop, with ``converged`` True, after the first outer iteration
+        whose recorded objective differs from the previous iteration's by
+        at most ``rel_tolerance * max(1, |previous|)``.
     grad_clip : float
         Cap on the norm of each block's average subgradient.  Labels that
         are nearly impossible under the current kernel make the inverse of
@@ -301,7 +310,10 @@ def train(dataset, config, initial=None):
     impossible under a rank-deficient similarity, e.g. after label noise
     inflates a subset past the feature rank) contribute a finite jittered
     surrogate to the recorded objective and only the margin-term gradient;
-    a warning reports how many instances were affected.
+    a warning reports how many instances were affected.  The rule looks
+    at the unit-diagonal form of the label submatrix, so which labels are
+    singular changes only with the kernel weights, and the surrogate is a
+    smooth function of theta.
 
     The recorded ``objective_trace`` holds the trained objective (hinge sum
     plus the optional ridge term) after every outer iteration.
@@ -342,7 +354,8 @@ def train(dataset, config, initial=None):
         if n_sing and not warned_singular:
             logger.warning(
                 "%d of %d training instances have numerically singular label "
-                "submatrices; using jittered objective surrogates and "
+                "submatrices (unit-diagonal form below the relative "
+                "tolerance); using jittered objective surrogates and "
                 "margin-term gradients for them", n_sing, n_total,
             )
             warned_singular = True

@@ -9,11 +9,11 @@ features: by default the linear kernel S_ij = x_i . x_j
 (:data:`TRUE_SIMILARITY`), or any one RBF exp(-||x_i - x_j||^2 / sigma^2)
 given as a one-kernel :class:`SimilarityConfig`.  The Gram matrices come
 from :func:`dpplearn.kernel.base_similarity_stack` and L from
-:func:`dpplearn.kernel.kernel_stack`, the same code that evaluates learned
-kernels.  Label noise then flips the membership of
-each item independently with probability ``noise_prob`` (an absent item
-is added, a present one dropped), so a fraction of labels disagrees with
-the noiseless MAP by one or more items.
+:func:`dpplearn.kernel.similarity_stack` and ``kernel_stack``, the same
+code that evaluates learned kernels.  Label noise then flips the
+membership of each item independently with probability ``noise_prob``
+(an absent item is added, a present one dropped), so a fraction of
+labels disagrees with the noiseless MAP by one or more items.
 
 Reproducibility: the generator is the counter-based Philox engine keyed by
 ``seed``, and the draw order is fixed: theta first; then, for every
@@ -37,6 +37,7 @@ from .kernel import (
     base_similarity_stack,
     kernel_stack,
     quality_stack,
+    similarity_stack,
 )
 
 # The default generating similarity is the plain linear kernel on the features.
@@ -119,7 +120,8 @@ def generate_dataset(config, similarity=TRUE_SIMILARITY):
         base_similarity_stack(GroundSetInstance(x, x), similarity)
         for x in features
     ])
-    L = kernel_stack(quality_stack(features, theta), grams, np.array(TRUE_WEIGHTS))
+    L = kernel_stack(quality_stack(features, theta),
+                     similarity_stack(grams, np.array(TRUE_WEIGHTS)))
     clean = map_exhaustive_stack(L)
 
     instances = []

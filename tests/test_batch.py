@@ -25,12 +25,15 @@ from dpplearn import (
     NotPositiveSemidefiniteError,
     NumericalError,
     SimilarityConfig,
+    SynthConfig,
     TrainConfig,
     build_kernel,
+    generate_dataset,
     grad_loglik_wrt_L,
     instance_objective,
     log_probability,
     project_to_simplex,
+    total_objective,
 )
 from dpplearn import batch as batch_mod
 from dpplearn.batch import (
@@ -41,8 +44,10 @@ from dpplearn.batch import (
     label_terms,
     map_exhaustive_stack,
     resolvent_stack,
+    similarity_label_terms,
     stack_instances,
 )
+from dpplearn.kernel import log_subset_det, similarity_stack
 
 
 @pytest.fixture
@@ -173,6 +178,83 @@ def test_one_singular_label_rule(delta):
     else:
         assert np.all(np.isfinite(grad_loglik_wrt_L(L, (0, 1))))
         assert -log_probability(L, (0, 1)) == pytest.approx(objective, rel=1e-12)
+
+
+def test_objective_is_continuous_in_theta():
+    # seed-0 linear data: noisy labels of more than 5 items are singular
+    ds = generate_dataset(SynthConfig(seed=0))
+    data = list(ds.train)
+    config = TrainConfig(lam=1.0)
+    batches = stack_instances(data, TRUE_SIMILARITY)
+    assert dataset_value_and_grad(batches, ds.true_theta, np.ones(1), 1.0, 1.0,
+                                  False)[3] > 0
+    value = total_objective(ModelParams(ds.true_theta, np.ones(1)), data, config)
+    for factor in (1.0 + 1e-13, 1.0 - 1e-13):
+        moved = total_objective(ModelParams(factor * ds.true_theta, np.ones(1)),
+                                data, config)
+        assert abs(moved - value) <= 1e-9 * abs(value)
+
+
+def test_label_rule_ignores_the_quality_scale(rng):
+    # rank-3 linear similarity: labels of more than 3 items are singular
+    data = [make_instance(rng, n=6, label_size=int(rng.integers(1, 6)))
+            for _ in range(40)]
+    batch = stack_instances(data, TRUE_SIMILARITY)[0]
+    _, L = build_L_stack(batch, 0.4 * rng.standard_normal(3), np.ones(1))
+    logdet, singular, _ = label_terms(L, batch.size_groups)
+    assert 0 < np.count_nonzero(singular) < len(data)
+    log_c = rng.uniform(-7.0, 7.0, size=(len(data), 6))
+    c = np.exp(log_c)
+    scaled_logdet, scaled_singular, _ = label_terms(
+        c[:, :, None] * c[:, None, :] * L, batch.size_groups)
+    assert np.array_equal(scaled_singular, singular)
+    shift = 2.0 * np.sum(log_c, axis=1, where=batch.mask)
+    ok = ~singular
+    assert np.allclose(scaled_logdet[ok], logdet[ok] + shift[ok], rtol=1e-12,
+                       atol=1e-12)
+
+
+def test_cached_label_logdets_are_log_subset_det(rng):
+    data = [make_instance(rng, n=6, label_size=int(rng.integers(1, 6)))
+            for _ in range(40)]
+    theta = 0.4 * rng.standard_normal(3)
+    for similarity, weights in ((TRUE_SIMILARITY, np.ones(1)),
+                                (RBF_SIM, project_to_simplex(rng.random(3)))):
+        batch = stack_instances(data, similarity)[0]
+        hinge_terms(batch, theta, weights, 1.0, 1.0, False)
+        assert batch.label_cache is not None
+        S = similarity_stack(batch.grams, weights)
+        logdet_S, singular = similarity_label_terms(batch, S, weights)
+        logdet = logdet_S + 2.0 * np.sum(batch.X @ theta, axis=1,
+                                         where=batch.mask)
+        _, L = build_L_stack(batch, theta, weights)
+        for row, inst in enumerate(data):
+            ref = log_subset_det(L[row], inst.label)
+            if singular[row]:
+                assert ref == -np.inf
+            else:
+                assert logdet[row] == pytest.approx(ref, rel=1e-12)
+
+
+def test_zero_diagonal_label_is_singular():
+    # a zero similarity-feature row gives a zero row of the linear Gram
+    phi = np.array([[0.0, 0.0], [1.0, 0.2], [0.3, 1.0]])
+    x = np.array([[0.5], [-0.2], [0.1]])
+    params = ModelParams(np.array([0.7]), np.ones(1))
+    L = build_kernel(GroundSetInstance(x, phi), params, TRUE_SIMILARITY)
+    assert L.matrix[0, 0] == 0.0
+    for label in ((0,), (0, 1)):
+        inst = GroundSetInstance(x, phi, label)
+        mask = np.zeros((1, 3), dtype=bool)
+        mask[0, list(label)] = True
+        logdet, singular, _ = label_terms(L.matrix[None], label_groups(mask))
+        assert singular[0] and np.isfinite(logdet[0])
+        assert log_probability(L, label) == -np.inf
+        with pytest.raises(DegenerateLabelError):
+            grad_loglik_wrt_L(L, label)
+        for lam in (0.0, 1.0):
+            config = TrainConfig(similarity=TRUE_SIMILARITY, lam=lam)
+            assert np.isfinite(instance_objective(params, inst, config))
 
 
 def test_build_kernel_is_the_stack_row(rng, dataset):

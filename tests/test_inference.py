@@ -147,11 +147,22 @@ class TestSampleDppStack:
 
     def test_chunks_continue_the_stream(self, monkeypatch):
         import dpplearn.batch as batch_mod
+        import dpplearn.inference as inference_mod
 
         L = EnsembleKernel.from_matrix(
             random_psd_matrix(np.random.default_rng(7), 6, scale=3.0))
+        # a sample takes 8 * 6 * (6 + 2) = 384 bytes: chunks of 10 samples
         monkeypatch.setattr(batch_mod, "MAP_CHUNK_BYTES", 16 * 6 * 6 * 7)
-        assert_draw_for_draw(L, 100, 4)  # chunks of 7 samples
+        chunks = []
+        inner = inference_mod._sample_chunk
+
+        def recording(E, probs, T, rng):
+            chunks.append(T)
+            return inner(E, probs, T, rng)
+
+        monkeypatch.setattr(inference_mod, "_sample_chunk", recording)
+        assert_draw_for_draw(L, 100, 4)
+        assert len(chunks) > 1 and sum(chunks) == 100
 
     def test_temporaries_stay_within_the_chunk_budget(self, monkeypatch):
         import tracemalloc

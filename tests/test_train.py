@@ -234,3 +234,60 @@ class TestPassSchedule:
         assert np.array_equal(result.params.theta, theta)
         assert np.array_equal(result.params.kernel_weights, weights)
         assert list(result.objective_trace) == trace
+
+
+def count_label_spectra(monkeypatch):
+    """Count numpy eigvalsh calls on label stacks (m, k, k); the base Gram
+    check calls it on (n, K, N, N) stacks, which are not counted."""
+    calls = []
+    inner = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            calls.append(np.shape(a))
+        return inner(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+class TestLabelSpectraPerWeightVector:
+    @staticmethod
+    def fit(rng, monkeypatch, similarity, iterations):
+        """Train on two item counts; return the passes, the label eigvalsh
+        calls and the label size groups of the data."""
+        data = [make_instance(rng, n=n, label_size=int(rng.integers(1, 5)))
+                for n in (5, 6, 5, 6, 6, 5, 6, 5)]
+        config = TrainConfig(similarity=similarity, lam=1.0,
+                             max_outer_iterations=iterations, rel_tolerance=1e-15)
+        groups = sum(len(b.size_groups)
+                     for b in batch_mod.stack_instances(data, similarity))
+        passes = record_passes(monkeypatch)
+        calls = count_label_spectra(monkeypatch)
+        assert train(data, config).iterations_used == iterations
+        return passes, calls, groups
+
+    def test_theta_only_fit_takes_label_spectra_once(self, rng, monkeypatch):
+        passes, calls, groups = self.fit(rng, monkeypatch, TRUE_SIMILARITY, 6)
+        assert len(passes) == 3 * 6 + 1
+        assert len(calls) == groups
+
+    def test_weights_fit_takes_them_once_per_new_weight_vector(self, rng,
+                                                             monkeypatch):
+        passes, calls, groups = self.fit(rng, monkeypatch, RBF_SIM, 4)
+        assert len(passes) == 6 * 4 + 1
+        weights = [w.tobytes() for _, _, w in passes]
+        new = 1 + sum(a != b for a, b in zip(weights, weights[1:]))
+        assert new == 1 + 3 * 4  # three weight steps per iteration
+        assert len(calls) == new * groups
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_converges_on_synthetic_data(seed):
+    from dpplearn import SynthConfig, generate_dataset
+
+    data = list(generate_dataset(SynthConfig(seed=seed, n_train=200)).train)
+    config = TrainConfig(lam=1.0, rel_tolerance=1e-9)
+    result = train(data, config)
+    assert result.converged
+    assert result.iterations_used < config.max_outer_iterations
