@@ -9,13 +9,17 @@ Sampling has one engine, :func:`sample_dpp_stack`, which draws a kernel's
 T samples together: its phase two follows the conditional diagonal of the
 kept eigenvectors' projection kernel by incremental Cholesky, one
 vectorized step per drawn item.  It consumes the random stream exactly as
-T one-sample draws would, and :func:`sample_dpp` is its stack of one.
-The consensus is scored over the distinct drawn subsets.
+T one-sample draws would, without a Python step per sample: it draws an
+upper bound of uniforms, finds where each sample's draws start, and
+restores the generator's state to redraw exactly the uniforms used.
+:func:`sample_dpp` is its stack of one.  The consensus is scored over the
+distinct drawn subsets, grouped by sorting their packed membership bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -97,16 +101,22 @@ def sample_dpp_stack(L, T, rng):
     drawn item, mapped to an item by the rule ``Generator.choice`` applies
     (normalize, cumulative sum, ``searchsorted(side="right")``).  So the
     samples agree with a one-at-a-time sampler up to rounding near a
-    boundary of the cumulative distribution, and ``rng`` ends in the same
-    state.  Phase two is vectorized across the samples, one step per drawn
-    item; samples are processed in chunks whose temporaries stay within
-    ``batch.MAP_CHUNK_BYTES``.
+    boundary of the cumulative distribution.  The uniforms are drawn
+    without a loop over the samples (:func:`_uniforms`): the generator's
+    state is saved, an upper bound of uniforms drawn, the samples' offsets
+    into that stream found, and the state restored to redraw exactly the
+    uniforms used, so ``rng`` ends where T one-sample calls leave it,
+    whatever its bit generator.  Phase two is vectorized across the
+    samples, one step per drawn item; samples are processed in chunks
+    whose temporaries stay within ``batch.MAP_CHUNK_BYTES``.
     """
     probs = L.eigenvalues / (L.eigenvalues + 1.0)
-    # per sample, the Cholesky rows, uniforms and diagonal take 8 N (k + 2)
-    # bytes, and k is at most the number of eigenvalues above zero
+    # Per sample, phase two's Cholesky rows, uniforms and diagonal take
+    # 8 N (k + 2) bytes, with k at most the number of eigenvalues above
+    # zero, and phase one's 2N uniforms, 2N start counts (2 bytes each for
+    # N < 2^16) with their list, and 2N compare bytes take 38 N < 8 N * 5.
     k_bound = int(np.count_nonzero(probs > 0))
-    per_sample = 8 * max(1, L.n_items) * (k_bound + 2)
+    per_sample = 8 * max(1, L.n_items) * (k_bound + 7)
     step = max(1, _batch.MAP_CHUNK_BYTES // per_sample)
     samples = []
     for t0 in range(0, T, step):
@@ -114,15 +124,47 @@ def sample_dpp_stack(L, T, rng):
     return samples
 
 
+def _uniforms(probs, T, rng):
+    """Phase one's keeps and phase two's uniforms of T one-sample draws.
+
+    Sample t reads N uniforms from offset o_t of the stream for phase one
+    and then one per kept eigenvector, so o_{t+1} = o_t + N + k(o_t), where
+    k(o) counts the eigenvectors a sample starting at o keeps.  A sample
+    reads at most 2N, so 2NT uniforms hold every sample; k is counted at
+    every start by N compares of shifted slices, and the chain of offsets
+    is walked in integer Python.  Then the generator's saved state is
+    restored and exactly the o_T uniforms used are drawn again, into the
+    same buffer, so ``rng`` ends where T one-sample draws leave it.
+
+    Returns ``keep`` (T, N), phase one's kept eigenvectors, and ``u``
+    (T, N), ``u[t, j]`` the uniform behind sample t's j-th drawn item
+    (entries from ``k_t`` on are not used).
+    """
+    N = len(probs)
+    state = rng.bit_generator.state
+    U = rng.random(2 * N * T)
+    starts = 2 * N * (T - 1) + 1  # the offsets a sample can start at
+    k = np.zeros(starts, dtype=np.min_scalar_type(N))  # fewer bytes per pass
+    less = np.empty(starts, dtype=bool)
+    for m in range(N):
+        np.less(U[m:m + starts], probs[m], out=less)
+        k += less
+    k = k.tolist()
+    offsets = [0] * T
+    o = 0
+    for t in range(T):
+        offsets[t] = o
+        o += N + k[o]
+    rng.bit_generator.state = state
+    rng.random(out=U[:o])
+    idx = np.array(offsets)[:, None] + np.arange(N)
+    return U[idx] < probs, U[idx + N]
+
+
 def _sample_chunk(E, probs, T, rng):
     """T consecutive samples of :func:`sample_dpp_stack`."""
     N = len(probs)
-    keep = np.empty((T, N), dtype=bool)
-    u = np.zeros((T, N))  # u[t, j]: the uniform behind sample t's j-th item
-    for t in range(T):  # the draw order of T one-sample calls
-        keep[t] = rng.random(N) < probs
-        k_t = np.count_nonzero(keep[t])
-        u[t, :k_t] = rng.random(k_t)
+    keep, u = _uniforms(probs, T, rng)
     k = np.count_nonzero(keep, axis=1)
     # Larger samples first, so the samples still drawing at step j are a prefix.
     order = np.argsort(-k, kind="stable")
@@ -161,27 +203,36 @@ def consensus_scores(samples):
     """Mean F-score of each sample against the whole list, itself included.
 
     The pairwise F-scores are computed over the U distinct subsets only
-    (U x U, not T x T), found by ``np.unique`` over packed membership
-    bitmasks; each is weighted by how often it was drawn, and the scores
-    are mapped back to the samples, so equal subsets score equally.  Two
-    empty subsets score F = 1.
+    (U x U, not T x T); each is weighted by how often it was drawn, and the
+    scores are mapped back to the samples, so equal subsets score equally.
+    Two empty subsets score F = 1.  Equal subsets are grouped by a stable
+    ``np.lexsort`` of their packed membership bits, read as big-endian
+    64-bit words: the order ``np.unique(axis=0)`` gives the packed rows, so
+    the sums run in that order too.
     """
     T = len(samples)
-    n = 1 + max((max(s) for s in samples if s), default=0)
-    member = np.zeros((T, n), dtype=bool)
-    lengths = np.fromiter(map(len, samples), dtype=int, count=T)
-    member[np.repeat(np.arange(T), lengths), [i for s in samples for i in s]] = True
-    _, first, inverse, counts = np.unique(
-        np.packbits(member, axis=1), axis=0,
-        return_index=True, return_inverse=True, return_counts=True,
-    )
+    lengths = np.fromiter(map(len, samples), dtype=np.intp, count=T)
+    items = np.fromiter(chain.from_iterable(samples), dtype=np.intp,
+                        count=int(lengths.sum()))
+    n = 1 + int(items.max(initial=0))
+    member = np.zeros((T, 64 * -(-n // 64)), dtype=bool)
+    member[np.repeat(np.arange(T), lengths), items] = True
+    keys = np.packbits(member, axis=1).view(">u8")
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    new = np.ones(T, dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    first = order[new]
+    counts = np.diff(np.append(np.flatnonzero(new), T))
+    inverse = np.empty(T, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
     distinct = member[first].astype(float)
     sizes = distinct.sum(axis=1)
     inter = distinct @ distinct.T
     denom = sizes[:, None] + sizes[None, :]
     with np.errstate(invalid="ignore", divide="ignore"):
         f = np.where(denom > 0, 2.0 * inter / denom, 1.0)
-    return (f @ counts / T)[inverse.reshape(-1)]
+    return (f @ counts / T)[inverse]
 
 
 def mbr_decode(L, config, rng=None, metric=None):

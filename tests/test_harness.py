@@ -166,6 +166,32 @@ class TestSummaries:
         assert prf == (1.0, 1.0, 1.0)
 
 
+class TestMbrContract:
+    def test_one_consensus_call_per_kernel_with_int_tuples(self, monkeypatch):
+        # MBR scores each kernel's samples in one call through the module
+        # global; bench/job.py wraps that call to read the drawn samples
+        import dpplearn.inference as inference_mod
+        from dpplearn.harness import predict_subsets
+
+        calls = []
+        inner = inference_mod.consensus_scores
+
+        def recording(samples):
+            calls.append(samples)
+            return inner(samples)
+
+        monkeypatch.setattr(inference_mod, "consensus_scores", recording)
+        ds = generate_dataset(TINY_SYNTH)
+        config = InferenceConfig(mode="mbr", mbr_samples=30, seed=4)
+        preds = predict_subsets(ds.test, true_params(ds), TRUE_SIMILARITY, config)
+        assert len(calls) == len(ds.test) == len(preds)
+        for samples, pred in zip(calls, preds):
+            assert isinstance(samples, list) and len(samples) == 30
+            assert all(type(y) is tuple and all(type(i) is int for i in y)
+                       for y in samples)
+            assert pred in samples
+
+
 class TestDirections:
     def test_omega_one_sweep_equals_plain_training(self):
         from dpplearn.learning import train

@@ -118,9 +118,10 @@ class TestSampler:
         assert pvalue > 0.001
 
 
-def assert_draw_for_draw(L, T, seed):
+def assert_draw_for_draw(L, T, seed, bit_generator=np.random.PCG64):
     """The stack equals T reference draws on a twin generator, state included."""
-    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    rng = np.random.Generator(bit_generator(seed))
+    twin = np.random.Generator(bit_generator(seed))
     got = sample_dpp_stack(L, T, rng)
     assert got == [sample_dpp_reference(L, twin) for _ in range(T)]
     assert all(isinstance(i, int) for y in got for i in y)
@@ -151,7 +152,7 @@ class TestSampleDppStack:
 
         L = EnsembleKernel.from_matrix(
             random_psd_matrix(np.random.default_rng(7), 6, scale=3.0))
-        # a sample takes 8 * 6 * (6 + 2) = 384 bytes: chunks of 10 samples
+        # a sample takes 8 * 6 * (6 + 7) = 624 bytes: chunks of 6 samples
         monkeypatch.setattr(batch_mod, "MAP_CHUNK_BYTES", 16 * 6 * 6 * 7)
         chunks = []
         inner = inference_mod._sample_chunk
@@ -163,6 +164,31 @@ class TestSampleDppStack:
         monkeypatch.setattr(inference_mod, "_sample_chunk", recording)
         assert_draw_for_draw(L, 100, 4)
         assert len(chunks) > 1 and sum(chunks) == 100
+
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+    def test_other_bit_generators(self, bit_generator, monkeypatch):
+        import dpplearn.batch as batch_mod
+
+        L = EnsembleKernel.from_matrix(
+            random_psd_matrix(np.random.default_rng(11), 10, scale=3.0))
+        assert_draw_for_draw(L, 200, 5, bit_generator)
+        assert_draw_for_draw(L, 1, 6, bit_generator)
+        # a sample takes 8 * 10 * (10 + 7) = 1360 bytes: chunks of 2 samples
+        monkeypatch.setattr(batch_mod, "MAP_CHUNK_BYTES", 16 * 6 * 6 * 7)
+        assert_draw_for_draw(L, 50, 7, bit_generator)
+
+    @pytest.mark.parametrize("T", [1, 40])
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64])
+    def test_every_sample_reads_the_whole_bound(self, bit_generator, T):
+        # lambda / (lambda + 1) rounds to 1, so every sample keeps all N
+        # eigenvectors and reads 2N uniforms: exactly the 2NT drawn first
+        Q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((5, 5)))
+        L = EnsembleKernel.from_matrix(Q @ np.diag(1e20 * np.arange(1.0, 6.0)) @ Q.T)
+        assert np.all(L.eigenvalues / (L.eigenvalues + 1.0) == 1.0)
+        assert_draw_for_draw(L, T, 9, bit_generator)
 
     def test_temporaries_stay_within_the_chunk_budget(self, monkeypatch):
         import tracemalloc
@@ -206,6 +232,14 @@ class TestConsensusScores:
         for samples in ([()], [(), ()], [(), (1,)], [(1,), ()], [(0, 2)],
                         [(3,), (3,), (), (0, 3), (0, 3), ()]):
             self.assert_matches_reference(samples)
+
+    def test_items_beyond_one_key_word(self, rng):
+        # items 64 and up need a second (and third) 64-bit key word
+        pool = [(), (0,), (63,), (64,), (0, 64), (63, 64), (63, 64, 130),
+                (130,), (1, 63, 129)]
+        for _ in range(50):
+            picks = rng.integers(len(pool), size=int(rng.integers(1, 80)))
+            self.assert_matches_reference([pool[i] for i in picks])
 
     def test_drawn_samples(self, rng):
         for n in (4, 10):
