@@ -38,9 +38,8 @@ print(f"maximum likelihood:       P={mle_prf[0]:.4f} R={mle_prf[1]:.4f} "
       f"F={mle_prf[2]:.4f}  ({mle.iterations_used} iterations)")
 
 search = grid_search(list(ds.train), list(ds.holdout),
-                     lambda_grid=(0.1, 1.0, 10.0), omega_grid=(1.0,),
-                     base_config=base)
+                     lambda_grid=(0.1, 1.0, 10.0), base_config=base)
 lme_prf = evaluate_params(ds.test, search.best_params, TRUE_SIMILARITY, inference)
 print(f"large margin (lam={search.best_config.lam:g}):   "
       f"P={lme_prf[0]:.4f} R={lme_prf[1]:.4f} F={lme_prf[2]:.4f}")
-print("holdout grid:", [(lam, round(float(f), 4)) for lam, _, f in search.table])
+print("holdout grid:", [(lam, round(float(f), 4)) for lam, f in search.table])

@@ -28,11 +28,10 @@ from .kernel import (
     build_similarity_matrix,
     log_probability,
     marginal_kernel_from_L,
-    split_kernel_weights,
     subset_marginal,
     uniform_params,
 )
-from .losses import PrfScores, generalized_hamming, hamming_loss, precision_recall_fscore
+from .losses import PrfScores, precision_recall_fscore
 from .learning import (
     FiniteDifferenceReport,
     TrainConfig,

@@ -16,8 +16,8 @@ Four canned experiments mirror the synthetic study:
 * ``omega_sweep`` - large-margin training at a grid of loss weights omega,
   tracing the precision/recall tradeoff.
 
-Methods are tagged ``mle`` (lam = 0), ``lme`` (hinge objective; lam, and
-where configured omega, selected on the holdout split by F-score),
+Methods are tagged ``mle`` (lam = 0), ``lme`` (hinge objective at the
+configured ``train.omega``; lam selected on the holdout split by F-score),
 ``oracle`` (generating parameters), and ``mle_true_s``/``lme_true_s`` for
 the fixed-true-similarity reference rows of fig1c (theta learned with the
 dataset's generating similarity).
@@ -88,9 +88,10 @@ class ExperimentSpec:
     """One experiment: kind, data/train/inference settings, and grids.
 
     ``lambda_grid`` drives holdout selection for the lme method (0 is the
-    mle baseline and is excluded here); ``omega_grid`` is the sweep grid
-    for omega_sweep; ``sigma_grid`` doubles as the fig1b mis-specification
-    grid and the fig1c RBF bank, which must contain ``FIG1C_SIGMA``.
+    mle baseline and is excluded here), which trains at ``train.omega``;
+    ``omega_grid`` is the sweep grid for omega_sweep; ``sigma_grid``
+    doubles as the fig1b mis-specification grid and the fig1c RBF bank,
+    which must contain ``FIG1C_SIGMA``.
     """
 
     kind: str = "fig1a"
@@ -176,33 +177,29 @@ class GridSearchResult:
     best_config: TrainConfig
     best_params: ModelParams
     best_holdout_fscore: float
-    table: tuple  # rows of (lam, omega, holdout F)
+    table: tuple  # rows of (lam, holdout F)
 
 
-def grid_search(train_split, holdout_split, lambda_grid, omega_grid,
-                base_config, inference=None):
-    """Train each (lam, omega) cell; pick the best holdout F-score.
+def grid_search(train_split, holdout_split, lambda_grid, base_config,
+                inference=None):
+    """Train at each lam, with omega from ``base_config``; pick the best
+    holdout F-score.
 
-    Ties prefer the smaller lam, then the omega nearest 1.  Returns the
-    winning config together with its trained parameters, so callers need
-    not retrain.
+    Ties prefer the smaller lam.  Returns the winning config together
+    with its trained parameters, so callers need not retrain.
     """
     if not holdout_split:
         raise ParameterError("grid search requires a non-empty holdout split")
     inference = inference or InferenceConfig()
-    cells = sorted(
-        ((lam, om) for lam in lambda_grid for om in omega_grid),
-        key=lambda c: (c[0], abs(np.log(c[1]))),
-    )
     best = None
     table = []
-    for lam, om in cells:
-        config = replace(base_config, lam=lam, omega=om)
+    for lam in sorted(lambda_grid):
+        config = replace(base_config, lam=lam)
         result = train(list(train_split), config)
         score = evaluate_params(
             holdout_split, result.params, config.similarity, inference
         )[2]
-        table.append((lam, om, score))
+        table.append((lam, score))
         if best is None or score > best[2]:
             best = (config, result.params, score)
     return GridSearchResult(*best, tuple(table))
@@ -232,7 +229,7 @@ def _method_rows(experiment, rep, cell, ds, split, base, spec, suffix=""):
     ``split`` with the ``base`` config."""
     fits = {"mle": lambda: train(split, replace(base, lam=0.0)).params,
             "lme": lambda: grid_search(split, list(ds.holdout), spec.lambda_grid,
-                                       (1.0,), base, spec.inference).best_params}
+                                       base, spec.inference).best_params}
     return [_scored_row(experiment, rep, m + suffix, cell, fits[m], ds,
                         base.similarity, spec)
             for m in METHODS if m in spec.methods]

@@ -235,28 +235,21 @@ def consensus_scores(samples):
     return (f @ counts / T)[inverse]
 
 
-def mbr_decode(L, config, rng=None, metric=None):
+def mbr_decode(L, config, rng=None):
     """Minimum-Bayes-risk decoding: the sample with highest consensus.
 
     Draws ``config.mbr_samples`` subsets in one :func:`sample_dpp_stack`
     call, scores each by its average F-score against all drawn samples
     (itself included; that adds the same 1/T to every candidate), and
     returns the argmax, first occurrence winning ties.  Deterministic
-    given (L, config, seed).  Pass ``metric`` (a subset-pair -> float
-    callable) to replace the F-score consensus.
+    given (L, config, seed).
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
     samples = sample_dpp_stack(L, config.mbr_samples, rng)
     if len(samples) == 1:
         return samples[0]
-    if metric is None:
-        scores = consensus_scores(samples)
-    else:
-        scores = np.array(
-            [np.mean([metric(a, b) for b in samples]) for a in samples]
-        )
-    return samples[int(np.argmax(scores))]
+    return samples[int(np.argmax(consensus_scores(samples)))]
 
 
 def predict_subset(L, config, rng=None):

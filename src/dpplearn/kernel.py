@@ -174,18 +174,6 @@ def uniform_params(d_q, similarity):
     return ModelParams(np.zeros(d_q), np.full(k, 1.0 / k))
 
 
-def split_kernel_weights(weights, similarity):
-    """Split a kernel-weight vector into (alpha array, beta float)."""
-    w = np.ravel(np.asarray(weights, dtype=float))
-    if w.size != similarity.n_weights:
-        raise ParameterError(
-            f"expected {similarity.n_weights} kernel weights, got {w.size}"
-        )
-    if similarity.include_linear:
-        return w[:-1], float(w[-1])
-    return w, 0.0
-
-
 class EnsembleKernel:
     """The N x N DPP kernel L with its eigendecomposition cached.
 

@@ -23,6 +23,9 @@ between iterations is then a meaningful stopping test.
 Optimization is block-alternating projected subgradient descent: a block
 of steps on theta with the kernel weights fixed, then a block of projected
 steps on the kernel weights, repeating with a diminishing step size.
+The schedule is fixed (``STEP_SIZE``, ``ALTERNATION_BLOCK``,
+``GRAD_CLIP``); :class:`TrainConfig` holds only the objective's lam and
+omega and the two stopping rules.
 Every objective evaluation is one pass of
 :func:`dpplearn.batch.dataset_value_and_grad` over the training set, and
 each pass computes only the gradient block that the next step uses.  The
@@ -46,9 +49,21 @@ from .kernel import ModelParams, SimilarityConfig, as_subset, uniform_params
 logger = logging.getLogger(__name__)
 
 
+# The subgradient schedule: outer iteration t steps STEP_SIZE / sqrt(t) on
+# the per-instance average subgradient, ALTERNATION_BLOCK times per block.
+STEP_SIZE = 0.5
+ALTERNATION_BLOCK = 3
+# Cap on the norm of each block's average subgradient.  A label that is
+# nearly impossible under the current kernel makes the inverse of its
+# submatrix, and hence the kernel-weight subgradient, arbitrarily large;
+# the cap keeps one such instance from wrecking the iterate while keeping
+# the descent direction.
+GRAD_CLIP = 10.0
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Objective and optimizer settings.
+    """Objective settings and the trainer's stopping rules.
 
     Parameters
     ----------
@@ -58,60 +73,29 @@ class TrainConfig:
         Tradeoff coefficient on the margin term; 0 gives maximum likelihood.
     omega : float
         Weight on missed label items in the generalized Hamming loss.
-    step_size : float
-        Initial step, applied to the per-instance average subgradient.
-    step_decay : str
-        "sqrt" for step_size / sqrt(t) at outer iteration t, or "constant".
-    alternation_block : int
-        Inner subgradient steps per parameter block.
+    max_outer_iterations : int
+        Iteration budget of :func:`train`.
     rel_tolerance : float
         Stop, with ``converged`` True, after the first outer iteration
         whose recorded objective differs from the previous iteration's by
         at most ``rel_tolerance * max(1, |previous|)``.
-    grad_clip : float
-        Cap on the norm of each block's average subgradient.  Labels that
-        are nearly impossible under the current kernel make the inverse of
-        the label submatrix, and hence the kernel-weight subgradient,
-        arbitrarily large;
-        clipping keeps single pathological instances from destroying the
-        iterate while preserving the descent direction.
-    l2_theta : float
-        Optional ridge penalty 0.5 * l2 * ||theta||^2 added to the trained
-        objective (off by default; kept out of the per-instance objectives).
-    seed : int
-        Recorded for provenance; the subgradient loop itself is
-        deterministic and draws no random numbers.
     """
 
     similarity: SimilarityConfig = field(default_factory=SimilarityConfig)
     lam: float = 0.0
     omega: float = 1.0
     max_outer_iterations: int = 40
-    alternation_block: int = 3
-    step_size: float = 0.5
-    step_decay: str = "sqrt"
     rel_tolerance: float = 1e-7
-    grad_clip: float = 10.0
-    l2_theta: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.lam < 0:
             raise ParameterError(f"lam must be nonnegative, got {self.lam}")
         if self.omega <= 0:
             raise ParameterError(f"omega must be positive, got {self.omega}")
-        if self.step_size <= 0:
-            raise ParameterError(f"step_size must be positive, got {self.step_size}")
         if self.rel_tolerance <= 0:
             raise ParameterError("rel_tolerance must be positive")
-        if self.max_outer_iterations < 1 or self.alternation_block < 1:
-            raise ParameterError("iteration counts must be at least 1")
-        if self.step_decay not in ("sqrt", "constant"):
-            raise ParameterError(f"unknown step_decay {self.step_decay!r}")
-        if self.grad_clip <= 0:
-            raise ParameterError("grad_clip must be positive (inf disables)")
-        if self.l2_theta < 0:
-            raise ParameterError("l2_theta must be nonnegative")
+        if self.max_outer_iterations < 1:
+            raise ParameterError("max_outer_iterations must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -159,8 +143,7 @@ def instance_objective(params, instance, config):
 def total_objective(params, dataset, config):
     """Hinge objective summed over a dataset (0 when empty).
 
-    The value :func:`train` records in ``objective_trace``, without the
-    optional ridge term.
+    The value :func:`train` records in ``objective_trace``.
     """
     dataset = list(dataset)
     if not dataset:
@@ -290,15 +273,15 @@ def _clip(g, max_norm):
 def train(dataset, config, initial=None):
     """Fit parameters by block-alternating projected subgradient descent.
 
-    Each outer iteration t runs ``alternation_block`` subgradient steps on
+    Each outer iteration t runs ``ALTERNATION_BLOCK`` subgradient steps on
     theta, then the same number of projected steps on the kernel weights
     (skipped when there is a single base kernel, since the simplex then
-    pins the weight at 1), with step ``step_size / sqrt(t)``.  Steps use
-    the average subgradient over instances, so ``step_size`` is insensitive
-    to dataset size.  The hinge subgradient is zero whenever the bracket is
-    nonpositive.
+    pins the weight at 1), with step ``STEP_SIZE / sqrt(t)``.  Steps use
+    the average subgradient over instances, so ``STEP_SIZE`` is insensitive
+    to dataset size, clipped to norm ``GRAD_CLIP``.  The hinge subgradient
+    is zero whenever the bracket is nonpositive.
 
-    Pass schedule, with B = ``alternation_block``: one pass at the
+    Pass schedule, with B = ``ALTERNATION_BLOCK``: one pass at the
     starting point gives the first theta gradient.  Outer iteration t
     then makes B - 1 theta-gradient passes (its first step reuses the
     gradient it starts with), B weight-gradient passes when the weights
@@ -315,8 +298,8 @@ def train(dataset, config, initial=None):
     singular changes only with the kernel weights, and the surrogate is a
     smooth function of theta.
 
-    The recorded ``objective_trace`` holds the trained objective (hinge sum
-    plus the optional ridge term) after every outer iteration.
+    The recorded ``objective_trace`` holds :func:`total_objective` after
+    every outer iteration.
     """
     if not dataset:
         raise ParameterError("training dataset is empty")
@@ -359,25 +342,19 @@ def train(dataset, config, initial=None):
                 "margin-term gradients for them", n_sing, n_total,
             )
             warned_singular = True
-        if config.l2_theta > 0:
-            val += 0.5 * config.l2_theta * float(theta @ theta)
-            if g_t is not None:
-                g_t = g_t + config.l2_theta * theta
         g = g_t if want_grad == "theta" else g_w
-        return val, _clip(g / n_total, config.grad_clip)
+        return val, _clip(g / n_total, GRAD_CLIP)
 
     # the theta gradient at the starting point, for the first step
     _, g_t = evaluate("theta", 1)
     for t in range(1, config.max_outer_iterations + 1):
-        step = config.step_size
-        if config.step_decay == "sqrt":
-            step /= math.sqrt(t)
-        for k in range(config.alternation_block):
+        step = STEP_SIZE / math.sqrt(t)
+        for k in range(ALTERNATION_BLOCK):
             if k:
                 _, g_t = evaluate("theta", t)
             theta = theta - step * g_t
         if learn_weights:
-            for _ in range(config.alternation_block):
+            for _ in range(ALTERNATION_BLOCK):
                 _, g_w = evaluate("weights", t)
                 weights = project_to_simplex(weights - step * g_w)
         # the objective at this iterate, where the next iteration's first

@@ -1,40 +1,25 @@
-"""Set-discrepancy losses and precision/recall/F-score metrics.
+"""Precision/recall/F-score metrics of predicted subsets.
 
-The weighted Hamming loss treats the two error types asymmetrically:
+Training scores errors by the weighted Hamming loss, which treats the two
+error types asymmetrically:
 
     loss(y_star, y) = #(items of y not in y_star)
                       + omega * #(items of y_star missing from y).
 
 omega > 1 makes missed ground-truth items costlier (training then favors
 recall); omega < 1 penalizes spurious items relatively more (favoring
-precision).  omega = 1 recovers the plain Hamming distance.
+precision).  omega = 1 recovers the plain Hamming distance.  The trainer
+only needs its expectation under the DPP, which has a closed form in the
+marginal kernel diagonal (:func:`dpplearn.batch.margin_mass`).
 """
 
 from typing import NamedTuple
-
-from .errors import ParameterError
 
 
 class PrfScores(NamedTuple):
     precision: float
     recall: float
     fscore: float
-
-
-def hamming_loss(y_star, y):
-    """Number of disagreements between two subsets (symmetric)."""
-    a, b = set(y_star), set(y)
-    return len(a ^ b)
-
-
-def generalized_hamming(y_star, y, omega=1.0):
-    """Weighted Hamming loss; misses of y_star items count omega each."""
-    if omega <= 0:
-        raise ParameterError(f"omega must be positive, got {omega}")
-    a, b = set(y_star), set(y)
-    extras = len(b - a)
-    misses = len(a - b)
-    return extras + omega * misses
 
 
 def precision_recall_fscore(y_pred, y_star):

@@ -104,6 +104,7 @@ def test_gradcheck_passes(capsys):
     assert cli_main(["gradcheck", "--n", "5", "--trials", "5"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "max relative error" in out
+    assert "(per-instance chain)" in out and "(trainer pass)" in out
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])
@@ -172,8 +173,9 @@ TINY_EXPERIMENT = (
     ("experiment", "replicate = 1", "replicate"),
     ("experiment", "lambda_grd = [1.0]", "lambda_grd"),
     ("gen", "synth = 5", "synth"),
+    ("train", "train.step_size = 0.5", "train.step_size"),
 ], ids=["lamda", "bandwidth", "include_linear", "replicate", "lambda_grd",
-        "seeded_scalar_section"])
+        "seeded_scalar_section", "removed_step_size"])
 def test_bad_config_key_is_data_error(tmp_path, gen_cfg, capsys, command, line, key):
     if command == "train":
         data_dir = tmp_path / "data"
@@ -186,10 +188,19 @@ def test_bad_config_key_is_data_error(tmp_path, gen_cfg, capsys, command, line, 
         text = line + "\n"
     cfg = write_cfg(tmp_path / "bad.cfg", text)
     capsys.readouterr()
-    code = cli_main([command, "--config", cfg, "--seed", "3",
+    seed = [] if command == "train" else ["--seed", "3"]
+    code = cli_main([command, "--config", cfg, *seed,
                      "--out-dir", str(tmp_path / "o")])
     assert code == EXIT_DATA
     assert f"'{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_seed_on_a_seedless_command_is_usage_error(capsys, command):
+    # train and eval draw no random numbers, so they take no --seed
+    assert cli_main([command, "--config", "x.cfg", "--seed", "3"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--seed" in err
 
 
 def test_unknown_experiment_method_is_data_error(tmp_path, capsys):

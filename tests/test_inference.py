@@ -272,15 +272,6 @@ class TestMbrDecode:
         config = InferenceConfig(mode="mbr", mbr_samples=40, seed=7)
         assert mbr_decode(L, config) == mbr_decode(L, config)
 
-    def test_custom_metric_hook(self, rng):
-        L = make_kernel(rng, 5)
-        config = InferenceConfig(mode="mbr", mbr_samples=30, seed=5)
-        jaccard = lambda a, b: (
-            len(set(a) & set(b)) / len(set(a) | set(b)) if (a or b) else 1.0
-        )
-        out = mbr_decode(L, config, metric=jaccard)
-        assert isinstance(out, tuple)
-
 
 class TestPredictSubset:
     def test_dispatches_exhaustive(self, rng):

@@ -9,11 +9,13 @@ from oracles import enumerate_probabilities, superset_sum
 from dpplearn import (
     EnsembleKernel,
     GroundSetInstance,
+    ModelParams,
     NotPositiveSemidefiniteError,
     ParameterError,
     SimilarityConfig,
     as_subset,
     assemble_L,
+    build_kernel,
     build_quality_vector,
     build_similarity_matrix,
     log_probability,
@@ -254,17 +256,28 @@ class TestSubsetMarginal:
                     assert pair <= min(K.matrix[i, i], K.matrix[j, j]) + 1e-12
 
 
-def test_split_kernel_weights():
-    from dpplearn import split_kernel_weights
+def test_kernel_weight_layout(rng):
+    # weights are ordered (alpha_1, ..., alpha_K[, beta]): RBFs in
+    # bandwidth order, then the linear kernel.  At theta = 0 every quality
+    # is 1, so L is the weighted similarity itself.
+    inst = make_instance(rng)
+    phi = np.asarray(inst.similarity_features)
+    sq = np.sum((phi[:, None] - phi[None]) ** 2, axis=-1)
+    theta = np.zeros(inst.quality_features.shape[1])
+
+    def L_of(weights, similarity):
+        return build_kernel(inst, ModelParams(theta, weights), similarity).matrix
 
     with_linear = SimilarityConfig(bandwidths=(1.0, 2.0), include_linear=True)
-    alpha, beta = split_kernel_weights([0.2, 0.3, 0.5], with_linear)
-    assert np.allclose(alpha, [0.2, 0.3]) and beta == 0.5
+    for w, want in (([1.0, 0.0, 0.0], np.exp(-sq)),
+                    ([0.0, 1.0, 0.0], np.exp(-sq / 4.0)),
+                    ([0.0, 0.0, 1.0], phi @ phi.T)):
+        assert np.allclose(L_of(w, with_linear), want, atol=1e-12)
     rbf_only = SimilarityConfig(bandwidths=(1.0, 2.0), include_linear=False)
-    alpha, beta = split_kernel_weights([0.4, 0.6], rbf_only)
-    assert np.allclose(alpha, [0.4, 0.6]) and beta == 0.0
+    assert np.allclose(L_of([0.4, 0.6], rbf_only),
+                       0.4 * np.exp(-sq) + 0.6 * np.exp(-sq / 4.0), atol=1e-12)
     with pytest.raises(ParameterError):
-        split_kernel_weights([1.0], with_linear)
+        L_of([1.0], with_linear)
 
 
 def test_kernel_arrays_are_readonly(rng):

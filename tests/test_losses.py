@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from oracles import generalized_hamming_reference
 
 from dpplearn import (
+    MarginalKernel,
     ParameterError,
-    generalized_hamming,
-    hamming_loss,
     precision_recall_fscore,
+    softmax_margin_term,
 )
 
 
@@ -17,56 +19,71 @@ def random_pair(rng, n=12):
     return a, b
 
 
+def expected_loss(y_star, y, omega, n=12):
+    """The trainer's loss-weighted mass for the DPP that always draws ``y``.
+
+    That DPP's marginal kernel is diagonal, 1 on ``y`` and 0 elsewhere, so
+    the mass is exactly the weighted Hamming loss of ``y`` against
+    ``y_star``; a zero mass reads -inf in the log and 0 here.
+    """
+    K = MarginalKernel(np.diag(np.isin(np.arange(n), y).astype(float)))
+    return math.exp(softmax_margin_term(K, y_star, omega))
+
+
 class TestHamming:
+    """omega = 1: the plain Hamming distance."""
+
     def test_equal_subsets(self):
-        assert hamming_loss((1, 2), (1, 2)) == 0
-        assert hamming_loss((), ()) == 0
+        assert expected_loss((1, 2), (1, 2), 1.0) == 0
+        assert expected_loss((), (), 1.0) == 0
 
     def test_one_extra_one_missing(self):
-        assert hamming_loss((1, 2), (2, 3)) == 2
+        assert expected_loss((1, 2), (2, 3), 1.0) == pytest.approx(2.0, rel=1e-15)
 
     def test_all_extras(self):
-        assert hamming_loss((), (1, 2, 3)) == 3
+        assert expected_loss((), (1, 2, 3), 1.0) == pytest.approx(3.0, rel=1e-15)
 
     def test_symmetric(self, rng):
         for _ in range(200):
             a, b = random_pair(rng)
-            assert hamming_loss(a, b) == hamming_loss(b, a)
+            assert expected_loss(a, b, 1.0) == expected_loss(b, a, 1.0)
 
     def test_zero_iff_equal(self, rng):
         for _ in range(200):
             a, b = random_pair(rng)
-            assert (hamming_loss(a, b) == 0) == (set(a) == set(b))
+            assert (expected_loss(a, b, 1.0) == 0) == (set(a) == set(b))
 
 
 class TestGeneralizedHamming:
     def test_reduces_to_hamming_at_omega_one(self, rng):
         for _ in range(10_000):
             a, b = random_pair(rng)
-            assert generalized_hamming(a, b, 1.0) == hamming_loss(a, b)
+            assert expected_loss(a, b, 1.0) == pytest.approx(
+                len(set(a) ^ set(b)), rel=1e-14)
 
     def test_weighted_miss(self):
-        assert generalized_hamming((1, 2), (2, 3), 2.0) == 3.0
+        assert expected_loss((1, 2), (2, 3), 2.0) == pytest.approx(3.0, rel=1e-15)
 
     def test_identity_with_large_omega(self):
-        assert generalized_hamming((1,), (1,), 64.0) == 0.0
+        assert expected_loss((1,), (1,), 64.0) == 0.0
 
     def test_asymmetric_witness(self):
         # one miss vs one extra swap roles under omega != 1
-        assert generalized_hamming((1,), (), 2.0) == 2.0
-        assert generalized_hamming((), (1,), 2.0) == 1.0
+        assert expected_loss((1,), (), 2.0) == pytest.approx(2.0, rel=1e-15)
+        assert expected_loss((), (1,), 2.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_matches_reference(self, rng):
         for _ in range(300):
             a, b = random_pair(rng)
             omega = float(rng.choice([0.25, 0.5, 2.0, 8.0]))
-            assert generalized_hamming(a, b, omega) == pytest.approx(
+            assert expected_loss(a, b, omega) == pytest.approx(
                 generalized_hamming_reference(a, b, omega), abs=1e-12
             )
 
     def test_rejects_nonpositive_omega(self):
+        K = MarginalKernel(np.eye(3))
         with pytest.raises(ParameterError):
-            generalized_hamming((1,), (2,), 0.0)
+            softmax_margin_term(K, (1,), 0.0)
 
 
 class TestPrf:

@@ -17,6 +17,7 @@ from dpplearn import (
     train,
 )
 from dpplearn import batch as batch_mod
+from dpplearn.learning import ALTERNATION_BLOCK, GRAD_CLIP, STEP_SIZE
 
 
 def small_dataset(rng, n_instances=12):
@@ -30,9 +31,7 @@ class TestTrainConfigValidation:
         with pytest.raises(ParameterError):
             TrainConfig(omega=0.0)
         with pytest.raises(ParameterError):
-            TrainConfig(step_size=0.0)
-        with pytest.raises(ParameterError):
-            TrainConfig(step_decay="linear")
+            TrainConfig(rel_tolerance=0.0)
         with pytest.raises(ParameterError):
             TrainConfig(max_outer_iterations=0)
 
@@ -142,15 +141,6 @@ class TestTrain:
                                 inference)[2]
         assert after > before
 
-    def test_l2_penalty_shrinks_theta(self, rng):
-        data = small_dataset(rng)
-        base = TrainConfig(similarity=RBF_SIM, lam=0.0, max_outer_iterations=20)
-        ridge = TrainConfig(similarity=RBF_SIM, lam=0.0, max_outer_iterations=20,
-                            l2_theta=50.0)
-        free = train(data, base).params.theta
-        shrunk = train(data, ridge).params.theta
-        assert np.linalg.norm(shrunk) < np.linalg.norm(free)
-
 
 def record_passes(monkeypatch):
     """Record (want_grad, theta, weights) of every pass train makes."""
@@ -179,13 +169,13 @@ def separate_passes_reference(data, config):
             batches, theta, weights, config.lam, config.omega)
         g = (g_t if block == "theta" else g_w) / len(data)
         norm = float(np.linalg.norm(g))
-        return g * (config.grad_clip / norm) if norm > config.grad_clip else g
+        return g * (GRAD_CLIP / norm) if norm > GRAD_CLIP else g
 
     for t in range(1, config.max_outer_iterations + 1):
-        step = config.step_size / np.sqrt(t)
-        for _ in range(config.alternation_block):
+        step = STEP_SIZE / np.sqrt(t)
+        for _ in range(ALTERNATION_BLOCK):
             theta = theta - step * grad("theta")
-        for _ in range(config.alternation_block):
+        for _ in range(ALTERNATION_BLOCK):
             weights = project_to_simplex(weights - step * grad("weights"))
         trace.append(batch_mod.dataset_value_and_grad(
             batches, theta, weights, config.lam, config.omega, want_grad=False)[0])
@@ -209,20 +199,16 @@ class TestPassSchedule:
         assert len(calls) == len(per_iteration) * T + 1
         assert [c[0] for c in calls] == ["theta"] + per_iteration * T
 
-    @pytest.mark.parametrize("l2_theta", [0.0, 0.5])
-    def test_trace_is_total_objective_at_each_iterate(self, rng, monkeypatch,
-                                                      l2_theta):
+    def test_trace_is_total_objective_at_each_iterate(self, rng, monkeypatch):
         calls = record_passes(monkeypatch)
         data = small_dataset(rng)
-        config = TrainConfig(similarity=RBF_SIM, lam=1.0, l2_theta=l2_theta,
+        config = TrainConfig(similarity=RBF_SIM, lam=1.0,
                              max_outer_iterations=4, rel_tolerance=1e-15)
         result = train(data, config)
         iterates = calls[6::6]
         assert len(iterates) == len(result.objective_trace) == 4
         for recorded, (_, theta, weights) in zip(result.objective_trace, iterates):
             expected = total_objective(ModelParams(theta, weights), data, config)
-            if l2_theta > 0:
-                expected += 0.5 * l2_theta * float(theta @ theta)
             assert recorded == expected
 
     def test_reused_gradient_fits_what_separate_passes_fit(self, rng):
