@@ -14,8 +14,8 @@ singular-label rule are those of the per-instance kernel API:
 :func:`dpplearn.kernel.similarity_stack` with ``kernel_stack``,
 ``clamp_psd_stack`` and ``label_spectra``.
 
-A training pass makes one batched Cholesky factorization and no LU or
-eigenvector work.  The normalizer log det(L + I) and the resolvent
+A training pass makes one batched Cholesky factorization of L + I and no
+LU or eigenvector work.  The normalizer log det(L + I) and the resolvent
 (L + I)^{-1} = X^T X, X the inverse of the Cholesky factor found by
 batched forward substitution, come from that one factorization.  That is
 sound because L + I is positive definite whenever L is PSD, and
@@ -23,18 +23,28 @@ L = diag(q) S diag(q), with S a simplex mix of the base Gram matrices,
 is PSD whenever those Grams are (Schur product theorem).  So the PSD
 rule runs on the base Grams, once per batch, the first time
 :func:`hinge_terms` evaluates it: the trainer and ``total_objective``
-pay for it once, and prediction never does.
+pay for it once, and prediction never does.  A batch stores its base
+Grams kernel axis first, (K, n, N, N), so mixing them into S and
+chaining a gradient back to the K kernel weights are one matrix-vector
+product each.
 
 Labels are scored on S: log det L_y = 2 sum_{i in y} theta . x_i +
 log det S_y, and the singular-label rule looks at the unit-diagonal form
-of the label submatrix, which is the same for L_y as for S_y.  So the
-label spectra depend on the kernel weights alone, and each batch keeps
-those of the last weight vector it saw: a theta-only fit takes them once,
-a joint fit once per new weight vector.  The objective is a smooth
-function of theta.  The theta gradient is in closed form and needs no
-label inverse.  Only the kernel-weight gradient does, and gets the
-inverses of all labels of a stack from one padded Cholesky
-factorization.
+R of the label submatrix, which is the same for L_y as for S_y.  So all
+label work depends on the kernel weights alone, and each batch keeps S
+and its label terms for the last weight vector it saw
+(:class:`SimilarityTerms`): a theta-only fit computes them once, a joint
+fit once per new weight vector.  One Cholesky factorization of the
+labels' unit-diagonal forms, padded to N x N, decides most labels
+(:func:`label_terms`).  Its inverse gives tr(R^{-1}), and
+lambda_min(R) >= 1 / tr(R^{-1}) while lambda_max(R) <= k for a label of
+k items, so a label with tr(R^{-1}) k ``LABEL_SINGULAR_RTOL`` < 1/2 is
+nonsingular by a factor of two, and its log-determinant comes from the
+factor's diagonal.  The bound is one-sided: every other label goes
+through ``label_spectra``.  The objective is a smooth function of theta.
+The theta gradient is in closed form and needs no label inverse.  The
+kernel-weight gradient needs S_y^{-1}, which the same factor gives; it is
+built the first time a weights pass asks for it.
 
 Exhaustive MAP needs log det(L_y) for every subset y.  It walks the tree
 of subsets in which each subset extends its parent by one later item:
@@ -55,8 +65,9 @@ import numpy as np
 
 from .errors import NotPositiveSemidefiniteError, NumericalError, ParameterError
 from .kernel import (
-    base_similarity_stack,
+    LABEL_SINGULAR_RTOL,
     clamp_psd_stack,
+    gram_stack,
     kernel_stack,
     label_spectra,
     quality_stack,
@@ -82,15 +93,14 @@ class InstanceBatch:
         self.n = len(instances)
         self.n_items = instances[0].n_items
         self.X = np.stack([inst.quality_features for inst in instances])
-        self.grams = np.stack(
-            [base_similarity_stack(inst, similarity) for inst in instances]
-        )
+        self.grams = gram_stack(instances, similarity)
         self.mask = np.zeros((self.n, self.n_items), dtype=bool)
         for row, inst in enumerate(instances):
             self.mask[row, list(inst.label or ())] = True
         self.size_groups = label_groups(self.mask)
         self.grams_checked = False
-        # (weight bytes, log det S_y, singular) of similarity_label_terms
+        # the SimilarityTerms of the last weight vector a pass used: S, the
+        # label log-dets and flags, and the label inverses once asked for
         self.label_cache = None
 
 
@@ -143,8 +153,8 @@ def check_grams(batch, context=""):
     """
     if batch.grams_checked:
         return
-    n, k, N, _ = batch.grams.shape
-    evals = np.linalg.eigvalsh(batch.grams).reshape(n * k, N)
+    k, n, N, _ = batch.grams.shape
+    evals = np.linalg.eigvalsh(np.swapaxes(batch.grams, 0, 1)).reshape(n * k, N)
     clamp_psd_stack(evals, np.repeat(batch.indices, k),
                     f" in a base Gram matrix{context}")
     batch.grams_checked = True
@@ -155,7 +165,7 @@ def resolvent_stack(L, indices=None, context=""):
 
     One batched Cholesky factorization L + I = C C^T gives the
     log-determinant as twice the log-sum of the diagonal of C, and the
-    resolvent as X^T X with X = C^{-1} (:func:`_inverse_from_cholesky`).
+    resolvent as X^T X with X = C^{-1} (:func:`_inverse_factor`).
     When some L + I has no Cholesky factor, raises
     NotPositiveSemidefiniteError naming the first such kernel by its
     entry in ``indices``.
@@ -164,7 +174,8 @@ def resolvent_stack(L, indices=None, context=""):
                   f"has no Cholesky factor of L + I{context}: it is not "
                   "positive semidefinite")
     logdet = 2.0 * np.sum(np.log(np.diagonal(C, axis1=1, axis2=2)), axis=1)
-    return logdet, _inverse_from_cholesky(C)
+    X = _inverse_factor(C)
+    return logdet, np.swapaxes(X, -1, -2) @ X
 
 
 def _cholesky(B, indices, error, reason):
@@ -189,68 +200,115 @@ def _has_cholesky(M):
     return True
 
 
-def _inverse_from_cholesky(C):
-    """(C C^T)^{-1} = X^T X for a (n, N, N) stack of lower Cholesky factors.
+def _inverse_factor(C):
+    """X = C^{-1} for a (n, N, N) stack of lower Cholesky factors, so that
+    (C C^T)^{-1} = X^T X.
 
-    X = C^{-1} is lower triangular; forward substitution finds it one row
-    at a time, X_i = (e_i - sum_{k<i} C_ik X_k) / C_ii, vectorized over
-    the stack with the kernel axis last, as in :func:`_eliminate`.
+    X is lower triangular; forward substitution finds it one row at a
+    time, X_i = (e_i - sum_{k<i} C_ik X_k) / C_ii, vectorized over the
+    stack with the kernel axis last, as in :func:`_eliminate`.
     """
     N = C.shape[-1]
-    Ct = np.moveaxis(C, 0, -1)
+    Ct = np.ascontiguousarray(np.moveaxis(C, 0, -1))
     X = np.zeros_like(Ct)
     for i in range(N):
         X[i, :i] = np.einsum("kn,kjn->jn", Ct[i, :i], X[:i, :i]) / -Ct[i, i]
         X[i, i] = 1.0 / Ct[i, i]
-    X = np.moveaxis(X, -1, 0)
-    return np.swapaxes(X, -1, -2) @ X
+    return np.moveaxis(X, -1, 0)
 
 
-def label_terms(L, size_groups, invB=None):
-    """Label log-determinants and, given ``invB``, d log P(y) / dL.
+def _unit_diagonal_forms(M, keep):
+    """The labels of a (n, N, N) stack M on their unit-diagonal forms,
+    padded to N x N.
 
-    Returns ``(logdet_y, singular, G)``.  ``logdet_y`` and ``singular``
-    come from one :func:`~dpplearn.kernel.label_spectra` call per label
-    size, which scores each label submatrix on its unit-diagonal form; a
-    singular label has the finite surrogate log-determinant.  L may be a
-    stack of kernels or of similarities S, whose labels have the same
-    singular flags.  G is None when ``invB`` = (L + I)^{-1} is, and
-    :func:`loglik_grad` of the labels otherwise.
+    ``keep`` (n, N) marks the label items.  Returns ``(scale, P)``: scale
+    is M_ii^{-1/2} on ``keep`` and 0 elsewhere, where a diagonal entry
+    <= 0 is left unscaled, as in :func:`~dpplearn.kernel.label_spectra`;
+    P is scale M scale on the label and the identity off it.
     """
-    n = L.shape[0]
+    N = M.shape[-1]
+    d = np.diagonal(M, axis1=1, axis2=2)
+    scale = np.where(keep, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
+    P = scale[:, :, None] * scale[:, None, :]
+    P *= M
+    P.reshape(-1, N * N)[:, ::N + 1] += ~keep
+    return scale, P
+
+
+def label_terms(M, size_groups):
+    """Label log-determinants, singular flags and label factor of a stack.
+
+    ``M`` (n, N, N) is a stack of kernels or of similarities S, whose
+    labels have the same flags.  Returns ``(logdet_y, singular, factor)``
+    under the rule of :func:`~dpplearn.kernel.label_spectra`: a singular
+    label has the finite surrogate log-determinant.
+
+    One batched Cholesky factorization C C^T = P of the labels' padded
+    unit-diagonal forms (:func:`_unit_diagonal_forms`) decides most rows.
+    With X = C^{-1}, tr(R^{-1}) is the squared norm of X on the label, and
+    for a k-item label R, lambda_min(R) >= 1 / tr(R^{-1}) and
+    lambda_max(R) <= k.  A row with tr(R^{-1}) k ``LABEL_SINGULAR_RTOL``
+    < 1/2 is therefore nonsingular with a factor of two to spare, and its
+    log det is sum_i log M_ii + 2 sum_i log C_ii.  Every other row goes
+    through ``label_spectra``, one call per label size, and so do all rows
+    when some P has no Cholesky factor (a label larger than the rank of a
+    linear kernel, say).  ``factor`` is ``(scale, X)``, what
+    :func:`label_inverse` needs, or None when there is no factor.
+    """
+    n, N = M.shape[:2]
+    mask = np.zeros((n, N), dtype=bool)
+    for _, rows, labs in size_groups:
+        mask[rows[:, None], labs] = True
+    d = np.diagonal(M, axis1=1, axis2=2)
+    positive = np.all(d > 0, axis=1, where=mask)
+    keep = mask & positive[:, None]
     logdet_y = np.zeros(n)
     singular = np.zeros(n, dtype=bool)
-    mask = np.zeros(L.shape[:2], dtype=bool)
+    certified = np.zeros(n, dtype=bool)
+    scale, P = _unit_diagonal_forms(M, keep)
+    try:
+        C = np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        factor = None
+    else:
+        X = _inverse_factor(C)
+        factor = scale, X
+        tr = np.sum(np.einsum("nij,nij->ni", X, X), axis=1, where=keep)
+        k = np.count_nonzero(keep, axis=1)
+        certified = positive & (tr * k * LABEL_SINGULAR_RTOL < 0.5)
+        logdet_y = np.sum(np.log(np.where(keep, d, 1.0)), axis=1) + 2.0 * np.sum(
+            np.log(np.diagonal(C, axis1=1, axis2=2)), axis=1)
     for _, rows, labs in size_groups:
-        sub = L[rows[:, None, None], labs[:, :, None], labs[:, None, :]]
-        logdet_y[rows], singular[rows] = label_spectra(sub)
-        mask[rows[:, None], labs] = True
-    if invB is None:
-        return logdet_y, singular, None
-    return logdet_y, singular, loglik_grad(L, mask, singular, invB)
+        todo = ~certified[rows]
+        if np.any(todo):
+            rows, labs = rows[todo], labs[todo]
+            sub = M[rows[:, None, None], labs[:, :, None], labs[:, None, :]]
+            logdet_y[rows], singular[rows] = label_spectra(sub)
+    return logdet_y, singular, factor
 
 
-def loglik_grad(L, mask, singular, invB, indices=None, context=""):
-    """d log P(y) / dL per row: the inverse of L_y zero-padded to N x N,
-    minus ``invB`` = (L + I)^{-1}, and zero on rows flagged ``singular``.
+def label_inverse(M, mask, singular, factor=None, indices=None, context=""):
+    """The label inverses (M_y)^{-1}, zero-padded to N x N, per row of a
+    (n, N, N) stack; zero on rows flagged ``singular``.
 
-    The label inverses of the whole stack come from one Cholesky
-    factorization of L_y padded with the identity off the label (the
-    identity on singular rows), through the inverse of
-    :func:`resolvent_stack`.  A padded matrix without a Cholesky factor
-    raises NumericalError naming the instance by its entry in
-    ``indices``.
+    They come from ``factor``, the one :func:`label_terms` returns for M,
+    as M_y^{-1} = scale R^{-1} scale with R^{-1} = X^T X.  Without it, one
+    Cholesky factorization of the nonsingular labels' padded unit-diagonal
+    forms gives them; a form without a factor raises NumericalError
+    naming the instance by its entry in ``indices``.
     """
     keep = mask & ~singular[:, None]
-    both = keep[:, :, None] & keep[:, None, :]
-    C = _cholesky(np.where(both, L, np.eye(L.shape[-1])), indices,
-                  NumericalError, f"has a label submatrix without a Cholesky "
-                  f"factor{context}")
-    G = _inverse_from_cholesky(C)
-    G[~both] = 0.0
-    G -= invB
-    G[singular] = 0.0
-    return G
+    if factor is None:
+        scale, P = _unit_diagonal_forms(M, keep)
+        X = _inverse_factor(_cholesky(
+            P, indices, NumericalError,
+            f"has a label submatrix without a Cholesky factor{context}"))
+    else:
+        scale, X = factor
+    # X is zero between the label and the items off it, where it has unit
+    # rows; zeroing its columns off ``keep`` zeroes the product there
+    Y = X * (scale * keep)[:, None, :]
+    return np.swapaxes(Y, -1, -2) @ Y
 
 
 def margin_mass(kdiag, mask, omega):
@@ -284,11 +342,11 @@ def chain_to_theta(U, L, X):
     return 2.0 * np.einsum("mi,mid->d", r, X)
 
 
-def chain_to_weights(U, q, grams):
-    """Chain symmetric gradients dF/dL (m, N, N) to the kernel weights:
-    dF/dw_k = sum_ij U_ij q_i q_j G^k_ij, summed over the stack."""
-    qq = q[:, :, None] * q[:, None, :]
-    return np.einsum("mij,mkij->k", U * qq, grams)
+def chain_to_weights(V, grams):
+    """Chain gradients dF/dS (n, N, N) to the kernel weights, given the
+    (K, n, N, N) base Grams: dF/dw_k = sum_nij V_nij G^k_nij, one
+    matrix-vector product.  For dF/dL = U, dF/dS = q_i q_j U_ij."""
+    return grams.reshape(grams.shape[0], -1) @ V.reshape(-1)
 
 
 def _grad_blocks(want_grad):
@@ -319,23 +377,50 @@ def theta_rates(kdiag, invB, mask, singular, omega, A, lam):
     return r
 
 
-def similarity_label_terms(batch, S, weights):
-    """log det S_y and the singular flags of every label of a batch.
+class SimilarityTerms:
+    """What every pass over a batch at one kernel-weight vector shares.
 
-    ``S`` is the batch's :func:`~dpplearn.kernel.similarity_stack` at
-    ``weights``.  The label spectra are taken by :func:`label_terms` once
-    per weight vector: a one-entry cache on the batch, keyed by the bytes
-    of ``weights``, returns them again while the weights stay the same,
-    as they do across every pass of a theta-only fit.  The returned
-    arrays are read-only.
+    ``S`` is the batch's :func:`~dpplearn.kernel.similarity_stack` at the
+    weights whose bytes are ``key``; ``logdet`` and ``singular`` are the
+    read-only log det S_y and flags of :func:`label_terms`.  The padded
+    label inverses S_y^{-1} (:func:`label_inverse`) are built from the
+    same factor the first time :meth:`label_inverse` is called, so a
+    theta pass never pays for them.
+    """
+
+    __slots__ = ("key", "S", "logdet", "singular", "_factor", "_inverse")
+
+    def __init__(self, batch, weights, key):
+        self.key = key
+        self.S = similarity_stack(batch.grams, weights)
+        self.logdet, self.singular, self._factor = label_terms(
+            self.S, batch.size_groups)
+        self.logdet.setflags(write=False)
+        self.singular.setflags(write=False)
+        self._inverse = None
+
+    def label_inverse(self, batch, context=""):
+        if self._inverse is None:
+            self._inverse = label_inverse(self.S, batch.mask, self.singular,
+                                          self._factor, batch.indices, context)
+            self._inverse.setflags(write=False)
+            self._factor = None
+        return self._inverse
+
+
+def similarity_label_terms(batch, weights):
+    """The batch's :class:`SimilarityTerms` at ``weights``.
+
+    A one-entry cache on the batch, keyed by the bytes of ``weights``,
+    returns the same terms while the weights stay the same, as they do
+    across every pass of a theta-only fit and from a joint fit's
+    recording pass to the weights pass after it.  So S is mixed and the
+    labels are factored once per weight vector.
     """
     key = np.asarray(weights, dtype=float).tobytes()
-    if batch.label_cache is None or batch.label_cache[0] != key:
-        logdet_S, singular, _ = label_terms(S, batch.size_groups)
-        logdet_S.setflags(write=False)
-        singular.setflags(write=False)
-        batch.label_cache = (key, logdet_S, singular)
-    return batch.label_cache[1:]
+    if batch.label_cache is None or batch.label_cache.key != key:
+        batch.label_cache = SimilarityTerms(batch, weights, key)
+    return batch.label_cache
 
 
 def hinge_terms(batch, theta, weights, lam, omega, want_grad, context=""):
@@ -351,26 +436,26 @@ def hinge_terms(batch, theta, weights, lam, omega, want_grad, context=""):
     margin-term gradient.  The first call on a batch runs
     :func:`check_grams`.
 
-    Every pass builds S once and L = diag(q) S diag(q) from it, and
+    S and the label terms come from :func:`similarity_label_terms`, once
+    per kernel-weight vector.  Every pass builds L = diag(q) S diag(q) and
     factors L + I once (:func:`resolvent_stack`).  The labels are scored
-    on S: log det L_y = log det S_y + 2 sum_{i in y} x_i . theta, and
-    the label spectra of S come from :func:`similarity_label_terms`, so
-    a fit takes them once per kernel-weight vector, not once per pass.
-    The value is therefore a smooth function of theta, and which labels
-    are singular depends on the weights alone.  The theta block is in
-    closed form (:func:`theta_rates`); the weights block chains
-    dF/dL = -:func:`loglik_grad` + :func:`margin_grad` of the rows with
-    an active hinge, and so adds one padded Cholesky factorization of
-    their labels.
+    on S: log det L_y = log det S_y + 2 sum_{i in y} x_i . theta.  The
+    value is therefore a smooth function of theta, and which labels are
+    singular depends on the weights alone.  The theta block is in closed
+    form (:func:`theta_rates`).  The weights block chains
+    dF/dS = q_i q_j (B + M)_ij - (S_y^{-1})_ij, with B = (L + I)^{-1}
+    (left out on singular rows) and M = :func:`margin_grad`, over the rows
+    with an active hinge; the label part needs no qualities, since
+    q_i q_j (L_y^{-1})_ij = (S_y^{-1})_ij.  Its S_y^{-1} is built once per
+    weight vector, from the factor the label terms kept.
     """
     want_theta, want_weights = _grad_blocks(want_grad)
     check_grams(batch, context)
+    terms = similarity_label_terms(batch, weights)
     q = quality_stack(batch.X, theta)
-    S = similarity_stack(batch.grams, weights)
-    L = kernel_stack(q, S)
+    L = kernel_stack(q, terms.S)
     logdetB, invB = resolvent_stack(L, batch.indices, context)
-    logdet_S, singular = similarity_label_terms(batch, S, weights)
-    logdet_y = logdet_S + 2.0 * np.sum(batch.X @ theta, axis=1, where=batch.mask)
+    logdet_y = terms.logdet + 2.0 * np.sum(batch.X @ theta, axis=1, where=batch.mask)
     kdiag = 1.0 - np.diagonal(invB, axis1=1, axis2=2)
     A, logA = margin_mass(kdiag, batch.mask, omega)
 
@@ -378,7 +463,7 @@ def hinge_terms(batch, theta, weights, lam, omega, want_grad, context=""):
     if lam > 0:
         z = z + lam * logA
     value = float(np.sum(np.maximum(z, 0.0)))
-    n_singular = int(np.count_nonzero(singular))
+    n_singular = int(np.count_nonzero(terms.singular))
     if not want_grad:
         return value, None, None, n_singular
 
@@ -387,16 +472,24 @@ def hinge_terms(batch, theta, weights, lam, omega, want_grad, context=""):
     act = np.nonzero(z > 0)[0]
     if act.size == 0:
         return value, g_theta, g_weights, n_singular
-    invB, mask, singular, A = invB[act], batch.mask[act], singular[act], A[act]
+    # every hinge is active in most passes: then take views, not copies
+    rows = slice(None) if act.size == batch.n else act
+    invB, mask, A = invB[rows], batch.mask[rows], A[rows]
+    singular = terms.singular[rows]
     if want_theta:
-        r = theta_rates(kdiag[act], invB, mask, singular, omega, A, lam)
-        g_theta = 2.0 * np.einsum("mi,mid->d", r, batch.X[act])
+        r = theta_rates(kdiag[rows], invB, mask, singular, omega, A, lam)
+        g_theta = 2.0 * np.einsum("mi,mid->d", r, batch.X[rows])
     if want_weights:
-        U = -loglik_grad(L[act], mask, singular, invB, batch.indices[act],
-                         context)
+        U = np.where(singular[:, None, None], 0.0, invB)
         if lam > 0:
             U += margin_grad(invB, mask, omega, A, lam)
-        g_weights = chain_to_weights(U, q[act], batch.grams[act])
+        V = kernel_stack(q[rows], U)
+        V -= terms.label_inverse(batch, context)[rows]
+        if rows is act:
+            V_all = np.zeros_like(L)
+            V_all[act] = V
+            V = V_all
+        g_weights = chain_to_weights(V, batch.grams)
     return value, g_theta, g_weights, n_singular
 
 

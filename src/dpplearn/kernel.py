@@ -253,25 +253,37 @@ def clamp_psd_eigenvalues(evals, tol=EIG_CLAMP_TOL):
     return clamp_psd_stack(np.asarray(evals, dtype=float)[None], tol=tol)[0]
 
 
-def base_similarity_stack(instance, config):
+def base_similarity_stack(instance, config, out=None):
     """All base kernel Gram matrices, stacked (n_weights, N, N).
 
     RBF components come first, one per bandwidth, followed by the linear
     Gram matrix when configured.  The stack depends only on the similarity
     features, so it can be computed once and reused across parameter values.
+    It is written into ``out`` when given, such as one ground set's slice
+    of a :func:`gram_stack`.
     """
     phi = instance.similarity_features
     n = phi.shape[0]
-    grams = np.empty((config.n_weights, n, n))
+    grams = np.empty((config.n_weights, n, n)) if out is None else out
     if config.bandwidths:
         sq = np.sum(phi**2, axis=1)
         d2 = sq[:, None] + sq[None, :] - 2.0 * (phi @ phi.T)
         np.maximum(d2, 0.0, out=d2)
         np.fill_diagonal(d2, 0.0)
         for k, sigma in enumerate(config.bandwidths):
-            grams[k] = np.exp(-d2 / sigma**2)
+            np.exp(-d2 / sigma**2, out=grams[k])
     if config.include_linear:
-        grams[-1] = phi @ phi.T
+        np.matmul(phi, phi.T, out=grams[-1])
+    return grams
+
+
+def gram_stack(instances, config):
+    """Base Gram matrices of ground sets with a common item count, kernel
+    axis first: (n_weights, n, N, N), each set's written in place."""
+    N = instances[0].n_items
+    grams = np.empty((config.n_weights, len(instances), N, N))
+    for row, inst in enumerate(instances):
+        base_similarity_stack(inst, config, out=grams[:, row])
     return grams
 
 
@@ -281,9 +293,10 @@ def quality_stack(X, theta):
 
 
 def similarity_stack(grams, weights):
-    """The one mix of base kernels: S = sum_k w_k G^k for the (n, K, N, N)
-    base Gram matrices ``grams`` of n ground sets; returns (n, N, N)."""
-    return np.einsum("k,nkij->nij", weights, grams)
+    """The one mix of base kernels: S = sum_k w_k G^k for the (K, n, N, N)
+    base Gram matrices ``grams`` of n ground sets (:func:`gram_stack`);
+    returns (n, N, N), by one matrix-vector product."""
+    return (weights @ grams.reshape(len(grams), -1)).reshape(grams.shape[1:])
 
 
 def kernel_stack(q, S):
@@ -311,7 +324,7 @@ def build_similarity_matrix(instance, config, weights):
             f"expected {config.n_weights} kernel weights, got {w.size}"
         )
     check_simplex(w)
-    return similarity_stack(base_similarity_stack(instance, config)[None], w)[0]
+    return similarity_stack(base_similarity_stack(instance, config)[:, None], w)[0]
 
 
 def build_quality_vector(instance, theta):

@@ -16,8 +16,9 @@ With L = diag(q) S diag(q), log det L_y = 2 sum_{i in y} theta . x_i +
 log det S_y, and the singular-label rule looks only at the unit-diagonal
 form of S_y (:func:`dpplearn.kernel.label_spectra`).  So the objective is
 a smooth function of theta, the set of singular labels depends on the
-kernel weights alone, and a fit takes the label spectra once per
-kernel-weight vector rather than once per pass.  Its relative change
+kernel weights alone, and a fit factors the labels once per
+kernel-weight vector rather than once per pass
+(:func:`dpplearn.batch.similarity_label_terms`).  Its relative change
 between iterations is then a meaningful stopping test.
 
 Optimization is block-alternating projected subgradient descent: a block
@@ -44,7 +45,13 @@ import numpy as np
 
 from . import batch as _batch
 from .errors import DegenerateLabelError, NumericalError, ParameterError
-from .kernel import ModelParams, SimilarityConfig, as_subset, uniform_params
+from .kernel import (
+    ModelParams,
+    SimilarityConfig,
+    as_subset,
+    kernel_stack,
+    uniform_params,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -166,14 +173,14 @@ def grad_loglik_wrt_L(L, y_star):
     """
     mask = _label_mask(y_star, L.n_items)
     L_stack = L.matrix[None]
-    _, invB = _batch.resolvent_stack(L_stack)
-    _, singular, G = _batch.label_terms(L_stack, _batch.label_groups(mask), invB)
+    _, singular, factor = _batch.label_terms(L_stack, _batch.label_groups(mask))
     if singular[0]:
         raise DegenerateLabelError(
             f"kernel submatrix for label {as_subset(y_star)} is numerically "
             "singular"
         )
-    return G[0]
+    _, invB = _batch.resolvent_stack(L_stack)
+    return _batch.label_inverse(L_stack, mask, singular, factor)[0] - invB[0]
 
 
 def grad_margin_wrt_L(L, K, y_star, omega=1.0):
@@ -211,7 +218,7 @@ def chain_L_to_params(instance, params, similarity, upstream):
     # L is symmetric, so only the symmetric part of U enters either sum
     U = (0.5 * (U + U.T))[None]
     return (_batch.chain_to_theta(U, L, batch.X),
-            _batch.chain_to_weights(U, q, batch.grams))
+            _batch.chain_to_weights(kernel_stack(q, U), batch.grams))
 
 
 def project_to_simplex(v):

@@ -8,7 +8,7 @@ with the exhaustive MAP subset.  S is a single base kernel on the
 features: by default the linear kernel S_ij = x_i . x_j
 (:data:`TRUE_SIMILARITY`), or any one RBF exp(-||x_i - x_j||^2 / sigma^2)
 given as a one-kernel :class:`SimilarityConfig`.  The Gram matrices come
-from :func:`dpplearn.kernel.base_similarity_stack` and L from
+from :func:`dpplearn.kernel.gram_stack` and L from
 :func:`dpplearn.kernel.similarity_stack` and ``kernel_stack``, the same
 code that evaluates learned kernels.  Label noise then flips the
 membership of each item independently with probability ``noise_prob``
@@ -34,7 +34,7 @@ from .kernel import (
     GroundSetInstance,
     ModelParams,
     SimilarityConfig,
-    base_similarity_stack,
+    gram_stack,
     kernel_stack,
     quality_stack,
     similarity_stack,
@@ -116,10 +116,7 @@ def generate_dataset(config, similarity=TRUE_SIMILARITY):
         features[t] = rng.standard_normal((n, d))
         flips[t] = rng.random(n) < config.noise_prob
 
-    grams = np.stack([
-        base_similarity_stack(GroundSetInstance(x, x), similarity)
-        for x in features
-    ])
+    grams = gram_stack([GroundSetInstance(x, x) for x in features], similarity)
     L = kernel_stack(quality_stack(features, theta),
                      similarity_stack(grams, np.array(TRUE_WEIGHTS)))
     clean = map_exhaustive_stack(L)

@@ -47,7 +47,17 @@ from dpplearn.batch import (
     similarity_label_terms,
     stack_instances,
 )
-from dpplearn.kernel import log_subset_det, similarity_stack
+from dpplearn.harness import DEFAULT_SIGMA_GRID, FIG1C_SIMILARITY
+from dpplearn.kernel import (
+    LABEL_SINGULAR_RTOL,
+    label_spectra,
+    log_subset_det,
+    similarity_stack,
+)
+from dpplearn.learning import finite_difference_check
+
+# the fig1c bank: one RBF per bandwidth of the default grid
+FIG1C_BANK = SimilarityConfig(bandwidths=DEFAULT_SIGMA_GRID, include_linear=False)
 
 
 @pytest.fixture
@@ -223,8 +233,10 @@ def test_cached_label_logdets_are_log_subset_det(rng):
         batch = stack_instances(data, similarity)[0]
         hinge_terms(batch, theta, weights, 1.0, 1.0, False)
         assert batch.label_cache is not None
-        S = similarity_stack(batch.grams, weights)
-        logdet_S, singular = similarity_label_terms(batch, S, weights)
+        terms = similarity_label_terms(batch, weights)
+        assert terms is batch.label_cache
+        assert np.array_equal(terms.S, similarity_stack(batch.grams, weights))
+        logdet_S, singular = terms.logdet, terms.singular
         logdet = logdet_S + 2.0 * np.sum(batch.X @ theta, axis=1,
                                          where=batch.mask)
         _, L = build_L_stack(batch, theta, weights)
@@ -419,7 +431,7 @@ def test_indefinite_base_gram_names_the_instance(rng):
     batch = stack_instances(data, RBF_SIM)[0]
     batch.indices = np.arange(10, 16)
     # a negated RBF Gram is negative definite
-    batch.grams[3, 0] = -batch.grams[3, 0]
+    batch.grams[0, 3] = -batch.grams[0, 3]
     with pytest.raises(NotPositiveSemidefiniteError, match="instance 13"):
         hinge_terms(batch, np.zeros(3), np.full(3, 1 / 3), 1.0, 1.0, True)
     assert not batch.grams_checked
@@ -502,20 +514,163 @@ def test_passes_factor_by_cholesky_alone(rng, monkeypatch):
     calls = _count_linalg(monkeypatch)
     _, g_t, _, _ = dataset_value_and_grad(batches, theta, weights, 1.5, 2.0,
                                           "theta")
-    assert calls == {"cholesky": len(batches), "inv": 0, "eigh": 0}
+    # at a new weight vector: one factorization of L + I and one of the
+    # padded labels per batch
+    assert calls == {"cholesky": 2 * len(batches), "inv": 0, "eigh": 0}
     assert g_t.any()
 
-    calls.update(cholesky=0)
-    _, _, g_w, _ = dataset_value_and_grad(batches, theta, weights, 1.5, 2.0,
-                                          "weights")
-    # one factorization of L + I and one of the padded labels per batch
-    assert calls == {"cholesky": 2 * len(batches), "inv": 0, "eigh": 0}
-    assert g_w.any()
+    for block in ("theta", "weights"):
+        calls.update(cholesky=0)
+        g = dataset_value_and_grad(batches, theta, weights, 1.5, 2.0, block)
+        # at the same weights the labels' factor is reused: only L + I
+        assert calls == {"cholesky": len(batches), "inv": 0, "eigh": 0}
+        assert g[1 if block == "theta" else 2].any()
 
 
 def test_label_inverse_without_cholesky_factor_names_the_instance():
     L = np.stack([np.eye(3), np.diag([1.0, -1.0, 1.0])])
     mask = np.array([[True, True, False], [True, True, False]])
     with pytest.raises(NumericalError, match="instance 5 .*iteration 2"):
-        batch_mod.loglik_grad(L, mask, np.zeros(2, dtype=bool), np.eye(3)[None],
-                              np.array([4, 5]), " (training iteration 2)")
+        batch_mod.label_inverse(L, mask, np.zeros(2, dtype=bool), None,
+                                np.array([4, 5]), " (training iteration 2)")
+
+
+def _label_spectra_rows(M, mask):
+    """label_spectra on each row's label submatrix, one row at a time."""
+    logdet, singular = np.zeros(len(M)), np.zeros(len(M), dtype=bool)
+    for row, keep in enumerate(mask):
+        if keep.any():
+            sub = M[row][np.ix_(keep, keep)][None]
+            logdet[row], singular[row] = (v[0] for v in label_spectra(sub))
+    return logdet, singular
+
+
+def _assert_logdets_close(logdet, ref, rtol=1e-12):
+    # relative to max(1, |log det|): a label of one unit-diagonal item has
+    # log det 0 up to rounding
+    assert np.all(np.abs(logdet - ref) <= rtol * np.maximum(1.0, np.abs(ref)))
+
+
+def _count_label_spectra(monkeypatch):
+    """Count the labels that label_terms passes to label_spectra."""
+    rows = []
+
+    def counted(sub):
+        rows.append(len(sub))
+        return label_spectra(sub)
+
+    monkeypatch.setattr(batch_mod, "label_spectra", counted)
+    return rows
+
+
+def _fig1c_batch(seed, n_train):
+    ds = generate_dataset(SynthConfig(n_train=n_train, n_holdout=1, n_test=1,
+                                      seed=seed), FIG1C_SIMILARITY)
+    return list(ds.train), stack_instances(list(ds.train), FIG1C_BANK)[0]
+
+
+class TestLabelCertificate:
+    """label_terms decides labels by one Cholesky factorization where it
+    can, and must agree with label_spectra on every row."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fig1c_bank_labels(self, seed, monkeypatch):
+        _, batch = _fig1c_batch(seed, 200)
+        rng = np.random.default_rng(seed)
+        for weights in (np.full(9, 1 / 9), project_to_simplex(rng.random(9))):
+            S = similarity_stack(batch.grams, weights)
+            spectra = _count_label_spectra(monkeypatch)
+            logdet, singular, factor = label_terms(S, batch.size_groups)
+            ref_logdet, ref_singular = _label_spectra_rows(S, batch.mask)
+            assert np.array_equal(singular, ref_singular)
+            _assert_logdets_close(logdet, ref_logdet)
+            # every label of the fig1c bank is certified
+            assert factor is not None and spectra == []
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 10.0, 1e4])
+    def test_labels_near_the_singular_threshold(self, c, monkeypatch):
+        # equicorrelated R = (1 - rho) I + rho 11^T has eigenvalues 1 - rho
+        # (k - 1 times) and 1 + (k - 1) rho; rho is set so that their ratio
+        # is c * LABEL_SINGULAR_RTOL.  Rows at unit and at random scale,
+        # padded by well-conditioned items.
+        rng = np.random.default_rng(7)
+        N, stack, mask = 6, [], []
+        for k in (2, 3, 4):
+            rho = ((1 - c * LABEL_SINGULAR_RTOL)
+                   / (1 + (k - 1) * c * LABEL_SINGULAR_RTOL))
+            for scale in (np.ones(N), np.exp(rng.uniform(-3, 3, N))):
+                M = np.eye(N) + 0.1 * (1 - np.eye(N))
+                M[:k, :k] = (1 - rho) * np.eye(k) + rho
+                stack.append(M * scale[:, None] * scale[None, :])
+                mask.append(np.arange(N) < k)
+        M, mask = np.array(stack), np.array(mask)
+        spectra = _count_label_spectra(monkeypatch)
+        logdet, singular, factor = label_terms(M, label_groups(mask))
+        ref_logdet, ref_singular = _label_spectra_rows(M, mask)
+        assert factor is not None
+        assert np.array_equal(singular, ref_singular)
+        if c != 1.0:  # at c = 1 rounding decides
+            assert ref_singular.all() if c < 1.0 else not ref_singular.any()
+        # up to c = 2 the bound cannot certify a label, so label_spectra
+        # scores every row; far above, it certifies every one
+        if c <= 2.0:
+            assert sum(spectra) == len(M)
+        if c >= 1e4:
+            assert spectra == []
+        # a certified label with lambda_min ~ 1e-7 carries a rounding error
+        # of about eps / lambda_min in either computation (each is off by up
+        # to 3e-11 relative against a 50-digit determinant), so c = 10 is
+        # held to that; everywhere else both agree to 1e-12
+        _assert_logdets_close(logdet, ref_logdet, 1e-10 if c == 10.0 else 1e-12)
+
+    def test_stack_with_a_label_beyond_the_linear_rank(self, rng, monkeypatch):
+        # the 3-item label of a rank-2 linear Gram has no Cholesky factor,
+        # so the whole stack goes through label_spectra
+        data = [make_instance(rng, n=5, d_s=2, label_size=2) for _ in range(7)]
+        data.append(make_instance(rng, n=5, d_s=2, label_size=3))
+        batch = stack_instances(data, TRUE_SIMILARITY)[0]
+        S = similarity_stack(batch.grams, np.ones(1))
+        spectra = _count_label_spectra(monkeypatch)
+        logdet, singular, factor = label_terms(S, batch.size_groups)
+        ref_logdet, ref_singular = _label_spectra_rows(S, batch.mask)
+        assert factor is None and sum(spectra) == len(data)
+        assert np.array_equal(singular, ref_singular) and singular[-1]
+        _assert_logdets_close(logdet, ref_logdet)
+
+    def test_zero_diagonal_label(self, rng, monkeypatch):
+        data = [make_instance(rng, n=5, label_size=3) for _ in range(6)]
+        batch = stack_instances(data, TRUE_SIMILARITY)[0]
+        S = similarity_stack(batch.grams, np.ones(1))
+        zero = batch.mask[2].argmax()
+        S[2, zero, :] = S[2, :, zero] = 0.0
+        spectra = _count_label_spectra(monkeypatch)
+        logdet, singular, factor = label_terms(S, batch.size_groups)
+        ref_logdet, ref_singular = _label_spectra_rows(S, batch.mask)
+        # the zero-diagonal row is left out of the factorization, and only
+        # it goes through label_spectra
+        assert factor is not None and spectra == [1]
+        assert np.array_equal(singular, ref_singular)
+        assert singular[2] and np.count_nonzero(singular) == 1
+        _assert_logdets_close(logdet, ref_logdet)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_fig1c_weight_gradient_matches_its_own_value(lam):
+    data, _ = _fig1c_batch(3, 30)
+    batches = stack_instances(data, FIG1C_BANK)
+    rng = np.random.default_rng(5)
+    theta = 0.3 * rng.standard_normal(5)
+    weights = project_to_simplex(rng.random(9))
+
+    def value(w):
+        return dataset_value_and_grad(batches, theta, w, lam, 1.0, False)[0]
+
+    full = dataset_value_and_grad(batches, theta, weights, lam, 1.0, True)
+    assert full[3] == 0
+    report = finite_difference_check(value, lambda w: full[2], weights, step=1e-6)
+    assert report.max_rel_error <= 1e-6
+    only_theta = dataset_value_and_grad(batches, theta, weights, lam, 1.0, "theta")
+    only_weights = dataset_value_and_grad(batches, theta, weights, lam, 1.0,
+                                          "weights")
+    assert np.array_equal(full[1], only_theta[1])
+    assert np.array_equal(full[2], only_weights[2])

@@ -222,50 +222,71 @@ class TestPassSchedule:
         assert list(result.objective_trace) == trace
 
 
-def count_label_spectra(monkeypatch):
-    """Count numpy eigvalsh calls on label stacks (m, k, k); the base Gram
-    check calls it on (n, K, N, N) stacks, which are not counted."""
+def count_label_factorizations(monkeypatch):
+    """Count the factorizations of label stacks: every label_terms call,
+    and every label_inverse call that factors the labels anew."""
     calls = []
-    inner = np.linalg.eigvalsh
+    terms, inverse = batch_mod.label_terms, batch_mod.label_inverse
 
-    def counted(a, *args, **kwargs):
-        if np.ndim(a) == 3:
-            calls.append(np.shape(a))
-        return inner(a, *args, **kwargs)
+    def counted_terms(M, *args, **kwargs):
+        calls.append(np.shape(M))
+        return terms(M, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    def counted_inverse(M, mask, singular, factor=None, *args, **kwargs):
+        if factor is None:
+            calls.append(np.shape(M))
+        return inverse(M, mask, singular, factor, *args, **kwargs)
+
+    monkeypatch.setattr(batch_mod, "label_terms", counted_terms)
+    monkeypatch.setattr(batch_mod, "label_inverse", counted_inverse)
     return calls
 
 
 class TestLabelSpectraPerWeightVector:
     @staticmethod
     def fit(rng, monkeypatch, similarity, iterations):
-        """Train on two item counts; return the passes, the label eigvalsh
-        calls and the label size groups of the data."""
+        """Train on two item counts; return the passes, the label
+        factorizations made in each pass and the number of batches."""
         data = [make_instance(rng, n=n, label_size=int(rng.integers(1, 5)))
                 for n in (5, 6, 5, 6, 6, 5, 6, 5)]
         config = TrainConfig(similarity=similarity, lam=1.0,
                              max_outer_iterations=iterations, rel_tolerance=1e-15)
-        groups = sum(len(b.size_groups)
-                     for b in batch_mod.stack_instances(data, similarity))
+        n_batches = len(batch_mod.stack_instances(data, similarity))
         passes = record_passes(monkeypatch)
-        calls = count_label_spectra(monkeypatch)
+        calls = count_label_factorizations(monkeypatch)
+        per_pass = []
+        recorded = batch_mod.dataset_value_and_grad
+
+        def counting(*args, **kwargs):
+            before = len(calls)
+            out = recorded(*args, **kwargs)
+            per_pass.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(batch_mod, "dataset_value_and_grad", counting)
         assert train(data, config).iterations_used == iterations
-        return passes, calls, groups
+        return passes, per_pass, n_batches
 
     def test_theta_only_fit_takes_label_spectra_once(self, rng, monkeypatch):
-        passes, calls, groups = self.fit(rng, monkeypatch, TRUE_SIMILARITY, 6)
+        passes, per_pass, n_batches = self.fit(rng, monkeypatch,
+                                               TRUE_SIMILARITY, 6)
         assert len(passes) == 3 * 6 + 1
-        assert len(calls) == groups
+        assert sum(per_pass) == n_batches
 
-    def test_weights_fit_takes_them_once_per_new_weight_vector(self, rng,
-                                                             monkeypatch):
-        passes, calls, groups = self.fit(rng, monkeypatch, RBF_SIM, 4)
+    def test_weights_fit_takes_them_once_per_new_weight_vector(
+            self, rng, monkeypatch):
+        passes, per_pass, n_batches = self.fit(rng, monkeypatch, RBF_SIM, 4)
         assert len(passes) == 6 * 4 + 1
         weights = [w.tobytes() for _, _, w in passes]
         new = 1 + sum(a != b for a, b in zip(weights, weights[1:]))
         assert new == 1 + 3 * 4  # three weight steps per iteration
-        assert len(calls) == new * groups
+        assert sum(per_pass) == new * n_batches
+        # each iteration's first weights pass is at the weights of the
+        # recording pass before it, and reuses that pass's factor
+        first = [1 + 6 * t + 2 for t in range(4)]
+        assert [passes[i][0] for i in first] == ["weights"] * 4
+        assert all(weights[i] == weights[i - 1] for i in first)
+        assert [per_pass[i] for i in first] == [0] * 4
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
