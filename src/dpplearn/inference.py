@@ -8,16 +8,24 @@ consensus against the rest.
 Sampling has one engine, :func:`sample_dpp_stack`, which draws a kernel's
 T samples together: its phase two follows the conditional diagonal of the
 kept eigenvectors' projection kernel by incremental Cholesky, one
-vectorized step per drawn item.  It consumes the random stream exactly as
-T one-sample draws would, without a Python step per sample: it draws an
-upper bound of uniforms, finds where each sample's draws start, and
+vectorized step per drawn item, laid out item-major (N, T) so that the
+running sum and the item choice run down columns.  An item is chosen by
+comparing u times the total mass with the unnormalized running sum, which
+differs from ``Generator.choice`` only at rounding boundaries of the
+cumulative distribution.  The sampler consumes the random stream exactly
+as T one-sample draws would, without a Python step per sample: it draws
+an upper bound of uniforms, finds where each sample's draws start, and
 restores the generator's state to redraw exactly the uniforms used.
-:func:`sample_dpp` is its stack of one.  The consensus is scored over the
-distinct drawn subsets, grouped by sorting their packed membership bits.
+:func:`mbr_decode` with a generator of its own reads that upper bound
+from one cached draw per (seed, N, T), shared by every kernel of an item
+count.  :func:`sample_dpp` is the stack of one.  Each distinct drawn
+subset becomes one tuple; the consensus groups the tuples by hashing
+them and scores the distinct subsets.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import chain
 
@@ -96,157 +104,218 @@ def sample_dpp_stack(L, T, rng):
     (Chen, Zhang & Zhou, arXiv 1709.05135).  Items whose conditional
     diagonal falls below 1e-12 are excluded before each draw.
 
-    The draws are the same as those of T successive one-sample calls, in
-    order: ``rng.random(N)`` for phase one, then one ``rng.random()`` per
-    drawn item, mapped to an item by the rule ``Generator.choice`` applies
-    (normalize, cumulative sum, ``searchsorted(side="right")``).  So the
-    samples agree with a one-at-a-time sampler up to rounding near a
-    boundary of the cumulative distribution.  The uniforms are drawn
-    without a loop over the samples (:func:`_uniforms`): the generator's
-    state is saved, an upper bound of uniforms drawn, the samples' offsets
-    into that stream found, and the state restored to redraw exactly the
-    uniforms used, so ``rng`` ends where T one-sample calls leave it,
-    whatever its bit generator.  Phase two is vectorized across the
-    samples, one step per drawn item; samples are processed in chunks
-    whose temporaries stay within ``batch.MAP_CHUNK_BYTES``.
+    The draws are those of T successive one-sample calls, in order:
+    ``rng.random(N)`` for phase one, then one uniform u per drawn item.
+    u picks item s = #{i : c_i <= u c_N}, with c the running sum of the
+    unnormalized conditional diagonal: the item whose share of the
+    cumulative mass holds u.  ``Generator.choice`` normalizes the mass,
+    sums it and normalizes the sum again before it compares u, so the two
+    rules pick different items only when u falls within rounding of a
+    boundary of the cumulative distribution; the samples agree with a
+    one-at-a-time sampler that calls ``choice`` up to such draws.
+    fl(u c_N) < c_N for u < 1, so s always has positive mass.  The
+    uniforms are drawn without a loop over the samples (:func:`_uniforms`),
+    and ``rng`` ends where T one-sample calls leave it, whatever its bit
+    generator.
+
+    Phase two runs item-major, (N, T) with the sample axis last, one
+    vectorized step per drawn item: the diagonal, its running sum and the
+    compare-and-count run down columns.  Samples are processed in chunks
+    whose temporaries stay within ``batch.MAP_CHUNK_BYTES``.  Each drawn
+    subset is packed into a membership key; equal keys share one tuple,
+    and the list holds references to those tuples.
     """
+    return _sample_stream(L, T, rng)
+
+
+def _sample_stream(L, T, stream):
+    """T samples read from ``stream``: a Generator, or an array holding at
+    least the first 2NT uniforms of a generator's stream."""
     probs = L.eigenvalues / (L.eigenvalues + 1.0)
-    # Per sample, phase two's Cholesky rows, uniforms and diagonal take
-    # 8 N (k + 2) bytes, with k at most the number of eigenvalues above
-    # zero, and phase one's 2N uniforms, 2N start counts (2 bytes each for
-    # N < 2^16) with their list, and 2N compare bytes take 38 N < 8 N * 5.
+    # Per sample, the Cholesky rows take 8 N k bytes, with k at most the
+    # number of eigenvalues above zero; the diagonal, index, uniforms,
+    # items, keep flags and key under 34 N; phase one's 2N uniforms,
+    # counts and compares under 22 N; a step's temporaries 24 N.
     k_bound = int(np.count_nonzero(probs > 0))
-    per_sample = 8 * max(1, L.n_items) * (k_bound + 7)
+    per_sample = 8 * max(1, L.n_items) * (k_bound + 10)
     step = max(1, _batch.MAP_CHUNK_BYTES // per_sample)
     samples = []
     for t0 in range(0, T, step):
-        samples += _sample_chunk(L.eigenvectors, probs, min(step, T - t0), rng)
+        U, offsets = _uniforms(probs, min(step, T - t0), stream)
+        samples += _sample_chunk(L.eigenvectors, probs, U, offsets)
+        if isinstance(stream, np.ndarray):
+            stream = stream[offsets[-1]:]
     return samples
 
 
-def _uniforms(probs, T, rng):
-    """Phase one's keeps and phase two's uniforms of T one-sample draws.
+@functools.lru_cache(maxsize=1)
+def _seeded_uniforms(seed, n):
+    """The first n uniforms of ``default_rng(seed)``, read-only.
+
+    Every kernel that :func:`mbr_decode` samples with a generator of its
+    own reads a prefix of the same stream, so the kernels of one item
+    count share one draw.  The one cached entry holds 16 N T bytes.
+    """
+    U = np.random.default_rng(seed).random(n)
+    U.flags.writeable = False
+    return U
+
+
+def _uniforms(probs, T, stream):
+    """The uniforms of T one-sample draws and where each sample starts.
 
     Sample t reads N uniforms from offset o_t of the stream for phase one
     and then one per kept eigenvector, so o_{t+1} = o_t + N + k(o_t), where
     k(o) counts the eigenvectors a sample starting at o keeps.  A sample
     reads at most 2N, so 2NT uniforms hold every sample; k is counted at
     every start by N compares of shifted slices, and the chain of offsets
-    is walked in integer Python.  Then the generator's saved state is
-    restored and exactly the o_T uniforms used are drawn again, into the
-    same buffer, so ``rng`` ends where T one-sample draws leave it.
+    is walked in Python through a memoryview of the counts, reading only
+    the T counts it lands on.  ``stream`` is either a Generator, whose
+    saved state is restored to redraw exactly the o_T uniforms used, so
+    it ends where T one-sample draws leave it, or an array that starts
+    with the stream's uniforms (:func:`_seeded_uniforms`).
 
-    Returns ``keep`` (T, N), phase one's kept eigenvectors, and ``u``
-    (T, N), ``u[t, j]`` the uniform behind sample t's j-th drawn item
-    (entries from ``k_t`` on are not used).
+    Returns ``U``, the stream from o_0 on, and the T + 1 offsets o_0 = 0,
+    ..., o_T.
     """
     N = len(probs)
-    state = rng.bit_generator.state
-    U = rng.random(2 * N * T)
+    drawn = isinstance(stream, np.ndarray)
+    if drawn:
+        U = stream
+    else:
+        state = stream.bit_generator.state
+        U = stream.random(2 * N * T)
     starts = 2 * N * (T - 1) + 1  # the offsets a sample can start at
     k = np.zeros(starts, dtype=np.min_scalar_type(N))  # fewer bytes per pass
     less = np.empty(starts, dtype=bool)
     for m in range(N):
         np.less(U[m:m + starts], probs[m], out=less)
         k += less
-    k = k.tolist()
-    offsets = [0] * T
+    k = memoryview(k)
+    offsets = [0] * (T + 1)
     o = 0
     for t in range(T):
-        offsets[t] = o
         o += N + k[o]
-    rng.bit_generator.state = state
-    rng.random(out=U[:o])
-    idx = np.array(offsets)[:, None] + np.arange(N)
-    return U[idx] < probs, U[idx + N]
+        offsets[t + 1] = o
+    if not drawn:
+        stream.bit_generator.state = state
+        stream.random(out=U[:o])
+    return U, np.array(offsets)
 
 
-def _sample_chunk(E, probs, T, rng):
-    """T consecutive samples of :func:`sample_dpp_stack`."""
-    N = len(probs)
-    keep, u = _uniforms(probs, T, rng)
-    k = np.count_nonzero(keep, axis=1)
+def _sample_chunk(E, probs, U, offsets):
+    """The samples whose draws start at ``offsets[:-1]`` in the stream U."""
+    N, T = len(probs), len(offsets) - 1
+    k = np.diff(offsets) - N
     # Larger samples first, so the samples still drawing at step j are a prefix.
     order = np.argsort(-k, kind="stable")
-    keep, u, k = keep[order], u[order], k[order]
-    k_max = int(k[0]) if T else 0
+    k = k[order]
+    k_max = int(k[0])
+    idx = offsets[order] + np.arange(N)[:, None]
+    keep = U[idx] < probs[:, None]  # (N, T), the sample axis last
+    u = U[idx[:k_max] + N]  # u[j, t]: the uniform behind sample t's j-th item
     # Sample t's projection kernel is K_t = E diag(keep_t) E^T; d2 is its
     # diagonal conditioned on the items drawn so far.
-    d2 = keep @ (E**2).T
-    C = np.empty((k_max, T, N))  # incremental Cholesky rows
-    items = np.full((T, k_max), N)
+    d2 = (E**2) @ keep
+    C = np.empty((k_max, T, N))  # incremental Cholesky rows, sample-major
+    items = np.full((k_max, T), N)
+    keys = np.zeros((1 + N // 64, T), dtype=np.uint64)  # membership bits
     for j in range(k_max):
         a = int(np.count_nonzero(k > j))
         rows = np.arange(a)
-        p = d2[:a].copy()  # Generator.choice's rule, row by row
-        p[p < 1e-12] = 0.0
-        p /= p.sum(axis=1, keepdims=True)
-        cdf = np.cumsum(p, axis=1)
-        cdf /= cdf[:, -1:]
-        # per row, searchsorted(cdf, u, side="right")
-        s = np.count_nonzero(cdf <= u[:a, j, None], axis=1)
-        items[:a, j] = s
-        e = (keep[:a] * E[s]) @ E.T  # row s of K_t
-        e -= np.einsum("it,itn->tn", C[:j, rows, s], C[:j, :a])
-        e /= np.sqrt(d2[rows, s])[:, None]
-        C[j, :a] = e
-        d2[:a] -= e * e
-        d2[rows, s] = 0.0  # rounding leaves ~1e-16 on the item just drawn
-    items.sort(axis=1)
-    out = [None] * T
-    for t, row, n in zip(order.tolist(), items.tolist(), k.tolist()):
-        out[t] = tuple(row[:n])
-    return out
+        c = d2[:, :a].copy()
+        c[c < 1e-12] = 0.0
+        # A running sum down the columns, in the order np.cumsum adds: N
+        # adds across the samples, unless too few samples are left to
+        # outweigh a Python step per item.
+        if a >= 256:
+            for i in range(1, N):
+                c[i] += c[i - 1]
+        else:
+            c = np.cumsum(c, axis=0)
+        s = np.sum(c <= u[j, :a] * c[-1], axis=0)
+        items[j, :a] = s
+        keys[s >> 6, rows] |= np.left_shift(1, (s & 63).astype(np.uint64))
+        e = E @ (keep[:, :a] * E[s].T)  # column s_t of K_t
+        if j:
+            e -= np.einsum("it,itn->nt", C[:j, rows, s], C[:j, :a])
+        e /= np.sqrt(d2[s, rows])
+        C[j, :a] = e.T
+        d2[:, :a] -= e * e
+        d2[s, rows] = 0.0  # rounding leaves ~1e-16 on the item just drawn
+    first, group = _group_rows(keys.T)
+    reps = np.sort(items[:, first], axis=0).T.tolist()
+    subsets = [tuple(row[:n]) for row, n in zip(reps, k[first].tolist())]
+    out = np.empty(T, dtype=np.intp)
+    out[order] = group
+    return [subsets[g] for g in out.tolist()]
+
+
+def _group_rows(keys):
+    """Group the equal rows of a 2-D key array, in row-lexicographic order.
+
+    Returns ``first``, one row index per group, and ``group``, each row's
+    group.  The sort is a stable ``np.lexsort``, so ``first`` is each
+    group's first row.
+    """
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    group = np.empty(len(keys), dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return order[new], group
 
 
 def consensus_scores(samples):
-    """Mean F-score of each sample against the whole list, itself included.
+    """Mean F-score of each sample, a tuple of item indices, against the
+    whole list, itself included.
 
     The pairwise F-scores are computed over the U distinct subsets only
     (U x U, not T x T); each is weighted by how often it was drawn, and the
     scores are mapped back to the samples, so equal subsets score equally.
-    Two empty subsets score F = 1.  Equal subsets are grouped by a stable
-    ``np.lexsort`` of their packed membership bits, read as big-endian
-    64-bit words: the order ``np.unique(axis=0)`` gives the packed rows, so
-    the sums run in that order too.
+    Two empty subsets score F = 1.  The samples are first grouped by
+    hashing the tuples; the distinct tuples' packed membership bits, read
+    as big-endian 64-bit words, then merge tuples that list one subset
+    differently, by a stable ``np.lexsort``: the order ``np.unique(axis=0)``
+    gives the packed rows, so the sums run in that order.
     """
     T = len(samples)
-    lengths = np.fromiter(map(len, samples), dtype=np.intp, count=T)
-    items = np.fromiter(chain.from_iterable(samples), dtype=np.intp,
+    index = {y: i for i, y in enumerate(dict.fromkeys(samples))}
+    tuples = list(index)
+    inverse = np.fromiter(map(index.__getitem__, samples), dtype=np.intp, count=T)
+    lengths = np.fromiter(map(len, tuples), dtype=np.intp, count=len(tuples))
+    items = np.fromiter(chain.from_iterable(tuples), dtype=np.intp,
                         count=int(lengths.sum()))
     n = 1 + int(items.max(initial=0))
-    member = np.zeros((T, 64 * -(-n // 64)), dtype=bool)
-    member[np.repeat(np.arange(T), lengths), items] = True
-    keys = np.packbits(member, axis=1).view(">u8")
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    new = np.ones(T, dtype=bool)
-    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    first = order[new]
-    counts = np.diff(np.append(np.flatnonzero(new), T))
-    inverse = np.empty(T, dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
+    member = np.zeros((len(tuples), 64 * -(-n // 64)), dtype=bool)
+    member[np.repeat(np.arange(len(tuples)), lengths), items] = True
+    first, group = _group_rows(np.packbits(member, axis=1).view(">u8"))
+    counts = np.bincount(group, weights=np.bincount(inverse))
     distinct = member[first].astype(float)
     sizes = distinct.sum(axis=1)
     inter = distinct @ distinct.T
     denom = sizes[:, None] + sizes[None, :]
     with np.errstate(invalid="ignore", divide="ignore"):
         f = np.where(denom > 0, 2.0 * inter / denom, 1.0)
-    return (f @ counts / T)[inverse]
+    return (f @ counts / T)[group[inverse]]
 
 
 def mbr_decode(L, config, rng=None):
     """Minimum-Bayes-risk decoding: the sample with highest consensus.
 
-    Draws ``config.mbr_samples`` subsets in one :func:`sample_dpp_stack`
-    call, scores each by its average F-score against all drawn samples
+    Draws ``config.mbr_samples`` subsets as :func:`sample_dpp_stack`
+    does, scores each by its average F-score against all drawn samples
     (itself included; that adds the same 1/T to every candidate), and
-    returns the argmax, first occurrence winning ties.  Deterministic
-    given (L, config, seed).
+    returns the argmax, first occurrence winning ties.  Without ``rng``
+    the samples are those of ``default_rng(config.seed)``, read from the
+    seed's cached uniforms (:func:`_seeded_uniforms`), so the kernels of
+    one item count share one draw.  Deterministic given (L, config, seed).
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    samples = sample_dpp_stack(L, config.mbr_samples, rng)
+    T = config.mbr_samples
+    stream = rng if rng is not None else _seeded_uniforms(
+        config.seed, 2 * L.n_items * T)
+    samples = _sample_stream(L, T, stream)
     if len(samples) == 1:
         return samples[0]
     return samples[int(np.argmax(consensus_scores(samples)))]

@@ -193,6 +193,40 @@ class TestMbrContract:
                        for y in samples)
             assert pred in samples
 
+    def test_linear_kernels_match_the_oracles(self, monkeypatch):
+        # Rank <= 5 linear kernels on 10 items: phase two meets items of
+        # zero eigenvalue and the 1e-12 exclusion.  Every kernel of the
+        # item count reads the seed's shared uniforms, so each must decode
+        # as a fresh default_rng(seed) drawing reference samples would.
+        import dpplearn.harness as harness_mod
+        import dpplearn.inference as inference_mod
+        from oracles import mbr_reference, sample_dpp_reference
+
+        kernels, drawn = [], []
+        decode, score = harness_mod.predict_subset, inference_mod.consensus_scores
+
+        def recording_decode(L, config):
+            kernels.append(L)
+            return decode(L, config)
+
+        def recording_score(samples):
+            drawn.append(samples)
+            return score(samples)
+
+        monkeypatch.setattr(harness_mod, "predict_subset", recording_decode)
+        monkeypatch.setattr(inference_mod, "consensus_scores", recording_score)
+        ds = generate_dataset(replace(TINY_SYNTH, n_test=6, seed=8))
+        config = InferenceConfig(mode="mbr", mbr_samples=100, seed=3)
+        preds = harness_mod.predict_subsets(ds.test, true_params(ds),
+                                            TRUE_SIMILARITY, config)
+        assert len(kernels) == len(drawn) == len(preds) == 6
+        assert all(np.linalg.matrix_rank(L.matrix) <= 5 for L in kernels)
+        for L, samples, pred in zip(kernels, drawn, preds):
+            rng = np.random.default_rng(config.seed)
+            want = [sample_dpp_reference(L, rng) for _ in range(config.mbr_samples)]
+            assert samples == want
+            assert pred == mbr_reference(want)
+
 
 class TestDirections:
     def test_omega_one_sweep_equals_plain_training(self):

@@ -152,17 +152,24 @@ class TestSampleDppStack:
 
         L = EnsembleKernel.from_matrix(
             random_psd_matrix(np.random.default_rng(7), 6, scale=3.0))
-        # a sample takes 8 * 6 * (6 + 7) = 624 bytes: chunks of 6 samples
+        # a sample takes 8 * 6 * (6 + 10) = 768 bytes: chunks of 5 samples
         monkeypatch.setattr(batch_mod, "MAP_CHUNK_BYTES", 16 * 6 * 6 * 7)
         chunks = []
         inner = inference_mod._sample_chunk
 
-        def recording(E, probs, T, rng):
-            chunks.append(T)
-            return inner(E, probs, T, rng)
+        def recording(E, probs, U, offsets):
+            chunks.append(len(offsets) - 1)
+            return inner(E, probs, U, offsets)
 
         monkeypatch.setattr(inference_mod, "_sample_chunk", recording)
         assert_draw_for_draw(L, 100, 4)
+        assert len(chunks) > 1 and sum(chunks) == 100
+        # mbr_decode's own seeded stream continues across chunks the same way
+        chunks.clear()
+        config = InferenceConfig(mode="mbr", mbr_samples=100, seed=4)
+        twin = np.random.default_rng(4)
+        want = [sample_dpp_reference(L, twin) for _ in range(100)]
+        assert mbr_decode(L, config) == mbr_reference(want)
         assert len(chunks) > 1 and sum(chunks) == 100
 
     @pytest.mark.parametrize(
@@ -174,7 +181,7 @@ class TestSampleDppStack:
             random_psd_matrix(np.random.default_rng(11), 10, scale=3.0))
         assert_draw_for_draw(L, 200, 5, bit_generator)
         assert_draw_for_draw(L, 1, 6, bit_generator)
-        # a sample takes 8 * 10 * (10 + 7) = 1360 bytes: chunks of 2 samples
+        # a sample takes 8 * 10 * (10 + 10) = 1600 bytes: chunks of 2 samples
         monkeypatch.setattr(batch_mod, "MAP_CHUNK_BYTES", 16 * 6 * 6 * 7)
         assert_draw_for_draw(L, 50, 7, bit_generator)
 
@@ -240,6 +247,19 @@ class TestConsensusScores:
         for _ in range(50):
             picks = rng.integers(len(pool), size=int(rng.integers(1, 80)))
             self.assert_matches_reference([pool[i] for i in picks])
+
+    def test_one_subset_in_separate_unsorted_tuples(self, rng):
+        # grouping by tuple hash must not split one subset into two groups
+        got = consensus_scores([(1, 0), (0, 1), (2,)])
+        want = consensus_scores([(0, 1), (0, 1), (2,)])
+        assert got.tobytes() == want.tobytes()
+        self.assert_matches_reference([(1, 0), (0, 1), (2,)])
+        for _ in range(50):
+            picks = rng.integers(len(self.POOL), size=int(rng.integers(1, 80)))
+            samples = [self.POOL[i] for i in picks]
+            shuffled = [tuple(rng.permutation(y).tolist()) for y in samples]
+            got, want = consensus_scores(shuffled), consensus_scores(samples)
+            assert got.tobytes() == want.tobytes()
 
     def test_drawn_samples(self, rng):
         for n in (4, 10):
