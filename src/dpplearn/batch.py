@@ -46,25 +46,31 @@ The theta gradient is in closed form and needs no label inverse.  The
 kernel-weight gradient needs S_y^{-1}, which the same factor gives; it is
 built the first time a weights pass asks for it.
 
-Exhaustive MAP needs log det(L_y) for every subset y.  It walks the tree
-of subsets in which each subset extends its parent by one later item:
-the child's log-determinant is the parent's plus the log of one pivot,
-read off the parent's Schur complement, and the child's complement is a
-rank-one update of the parent's.  So each of the 2^N subsets costs one
-update, vectorized over the kernels of a stack and the subsets of a tree
-level, instead of its own factorization; ``MAP_CHUNK_BYTES`` bounds the
-memory this takes.
+Exhaustive MAP first drops every item with L_ii <= 1, which no MAP
+subset holds: adding an item multiplies det(L_y) by its Schur pivot, at
+most L_ii, and ties go to the smaller subset.  It then needs
+log det(L_y) for every subset y of the m items left, and groups the
+kernels of a stack by m.  It walks the tree of subsets in which each
+subset extends its parent by one later item: the child's
+log-determinant is the parent's plus the log of one pivot, read off the
+parent's Schur complement, and the child's complement is a rank-one
+update of the parent's.  So each of the 2^m subsets costs one update,
+vectorized over the kernels of a group and the subsets of a tree level,
+instead of its own factorization; ``MAP_CHUNK_BYTES`` bounds the memory
+this takes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from math import comb
 
 import numpy as np
 
 from .errors import NotPositiveSemidefiniteError, NumericalError, ParameterError
 from .kernel import (
+    EIG_CLAMP_TOL,
     LABEL_SINGULAR_RTOL,
     clamp_psd_stack,
     gram_stack,
@@ -93,7 +99,8 @@ class InstanceBatch:
         self.n = len(instances)
         self.n_items = instances[0].n_items
         self.X = np.stack([inst.quality_features for inst in instances])
-        self.grams = gram_stack(instances, similarity)
+        self.grams = gram_stack(
+            np.stack([inst.similarity_features for inst in instances]), similarity)
         self.mask = np.zeros((self.n, self.n_items), dtype=bool)
         for row, inst in enumerate(instances):
             self.mask[row, list(inst.label or ())] = True
@@ -117,7 +124,11 @@ def label_groups(mask):
 
 
 def stack_instances(dataset, similarity):
-    """Group a dataset by item count into :class:`InstanceBatch` objects."""
+    """Group a dataset by item count into :class:`InstanceBatch` objects.
+
+    Ground sets of one item count whose similarity features differ in
+    dimension go into separate batches, so each batch's features stack.
+    """
     if not dataset:
         raise ParameterError("dataset is empty")
     d_q = dataset[0].quality_features.shape[1]
@@ -128,9 +139,10 @@ def stack_instances(dataset, similarity):
                 "all instances must share the quality feature dimension "
                 f"(instance {pos} has {inst.quality_features.shape[1]}, expected {d_q})"
             )
-        groups.setdefault(inst.n_items, ([], []))
-        groups[inst.n_items][0].append(pos)
-        groups[inst.n_items][1].append(inst)
+        key = inst.similarity_features.shape
+        groups.setdefault(key, ([], []))
+        groups[key][0].append(pos)
+        groups[key][1].append(inst)
     return [
         InstanceBatch(pos, insts, similarity)
         for _, (pos, insts) in sorted(groups.items())
@@ -150,13 +162,26 @@ def check_grams(batch, context=""):
     Raises NotPositiveSemidefiniteError naming the instance.  Passing
     makes every L of the batch PSD for simplex weights, so its L + I has
     the Cholesky factor :func:`resolvent_stack` takes.
+
+    The Grams are certified by batched Cholesky factorizations of
+    G + (tol / 2) I, tol = ``EIG_CLAMP_TOL``, one call per base kernel,
+    so the shifted copy holds one kernel's Grams at a time.  A computed
+    factor is the exact one of G + (tol / 2) I + E with
+    ||E|| = O(N eps ||G||), so success gives
+    lambda_min(G) >= -tol / 2 - O(N eps ||G||).  That clears the rule's
+    floor -max(tol, 1e-12 max|eig|): the tol / 2 margin covers the
+    rounding term while N eps ||G|| << tol / 2, and the relative floor
+    covers it beyond.  Only when some Gram has no such factor does the
+    rule run on the eigenvalues, which the error message needs.
     """
     if batch.grams_checked:
         return
     k, n, N, _ = batch.grams.shape
-    evals = np.linalg.eigvalsh(np.swapaxes(batch.grams, 0, 1)).reshape(n * k, N)
-    clamp_psd_stack(evals, np.repeat(batch.indices, k),
-                    f" in a base Gram matrix{context}")
+    shift = 0.5 * EIG_CLAMP_TOL * np.eye(N)
+    if not all(_has_cholesky(G + shift) for G in batch.grams):
+        evals = np.linalg.eigvalsh(np.swapaxes(batch.grams, 0, 1)).reshape(n * k, N)
+        clamp_psd_stack(evals, np.repeat(batch.indices, k),
+                        f" in a base Gram matrix{context}")
     batch.grams_checked = True
 
 
@@ -635,26 +660,43 @@ def map_exhaustive_stack(L_stack):
     subset, then to the lexicographically first.
 
     Each kernel must be positive semidefinite, as every kernel the library
-    builds is.  The determinants come from one walk of the subset tree
-    that extends a subset's Cholesky factorization by one item per step,
-    so each subset costs one Schur-complement update instead of a
-    factorization.  A pivot <= 0 marks the subset as singular, and with it
-    its whole subtree: for a PSD kernel a principal submatrix that
-    contains a singular one is singular too, so none of them can win.
+    builds is.  An item i with L_ii <= 1 is in no MAP subset: adding it to
+    any y multiplies det(L_y) by its Schur pivot
+    L_ii - L_iy L_y^{-1} L_yi <= L_ii <= 1, so y itself scores at least
+    as high and, being smaller, wins the tie.  Such items are dropped
+    first, and the kernels are grouped by m, the number of items left.
+    Each group's (m, m) kernels, compacted in item order, are searched by
+    one walk of the subset tree that extends a subset's Cholesky
+    factorization by one item per step, so each of the 2^m subsets costs
+    one Schur-complement update instead of a factorization.  A subset of
+    the remaining items gets the same updates in the same order as in a
+    walk over all N items, so its value is the same to the bit, and
+    compaction keeps the order on which the lexicographic tie rule rests.
+    A pivot <= 0 marks the subset as singular, and with it its whole
+    subtree: for a PSD kernel a principal submatrix that contains a
+    singular one is singular too, so none of them can win.
 
-    The walk's temporaries stay within ``MAP_CHUNK_BYTES``: kernels are
-    taken in chunks, and a single kernel whose walk would exceed it is
-    split into subtrees (see :func:`_best_by_size`).
+    The walk's temporaries stay within ``MAP_CHUNK_BYTES``: each group's
+    kernels are taken in chunks, and a single kernel whose walk would
+    exceed it is split into subtrees (see :func:`_best_by_size`).
     """
     L_stack = np.asarray(L_stack, dtype=float)
-    n, N = L_stack.shape[0], L_stack.shape[1]
-    step = max(1, MAP_CHUNK_BYTES // _map_bytes(N))
-    subsets = []
-    for r0 in range(0, n, step):
-        block = np.moveaxis(L_stack[r0:r0 + step], 0, -1)
-        vals, masks = _best_by_size(block, np.zeros(block.shape[-1]))
-        # first maximum over sizes: the smaller subset wins ties
-        best = masks[np.argmax(vals, axis=0), np.arange(block.shape[-1])]
-        subsets.extend(tuple(i for i in range(N) if mask >> (N - 1 - i) & 1)
-                       for mask in best.tolist())
+    eligible = np.diagonal(L_stack, axis1=1, axis2=2) > 1.0
+    counts = np.count_nonzero(eligible, axis=1)
+    subsets = [()] * L_stack.shape[0]
+    for m in np.unique(counts[counts > 0]).tolist():
+        rows = np.nonzero(counts == m)[0]
+        items = np.nonzero(eligible[rows])[1].reshape(rows.size, m)
+        shifts = np.arange(m - 1, -1, -1)
+        step = max(1, MAP_CHUNK_BYTES // _map_bytes(m))
+        for r0 in range(0, rows.size, step):
+            r, it = rows[r0:r0 + step], items[r0:r0 + step]
+            # the compacted kernels, (m, m, r) with the kernel axis last
+            block = L_stack[r, it.T[:, None], it.T[None]]
+            vals, masks = _best_by_size(block, np.zeros(r.size))
+            # first maximum over sizes: the smaller subset wins ties
+            best = masks[np.argmax(vals, axis=0), np.arange(r.size)]
+            chosen = (best[:, None] >> shifts & 1).astype(bool)
+            for row, its, keep in zip(r.tolist(), it.tolist(), chosen.tolist()):
+                subsets[row] = tuple(compress(its, keep))
     return subsets

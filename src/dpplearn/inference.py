@@ -66,9 +66,11 @@ def map_exhaustive(L, exhaustive_limit=20):
 
     Ties break toward smaller subsets, then lexicographically.  The
     enumeration is :func:`dpplearn.batch.map_exhaustive_stack` on a stack
-    of one: one Schur-complement update per subset, so its cost grows as
-    2^N times a small power of N.  Raises ParameterError beyond
-    ``exhaustive_limit`` items; use MBR decoding for larger ground sets.
+    of one: it walks only the m items with L_ii > 1, since no other item
+    is in a MAP subset, at one Schur-complement update per subset, so its
+    cost grows as 2^m times a small power of m.  Raises ParameterError
+    beyond ``exhaustive_limit`` items, which bounds N, not m; use MBR
+    decoding for larger ground sets.
     """
     require_enumerable(L.n_items, exhaustive_limit)
     return map_exhaustive_stack(L.matrix[None])[0]

@@ -253,37 +253,41 @@ def clamp_psd_eigenvalues(evals, tol=EIG_CLAMP_TOL):
     return clamp_psd_stack(np.asarray(evals, dtype=float)[None], tol=tol)[0]
 
 
-def base_similarity_stack(instance, config, out=None):
-    """All base kernel Gram matrices, stacked (n_weights, N, N).
+def base_similarity_stack(instance, config):
+    """All base kernel Gram matrices of one ground set, (n_weights, N, N).
 
     RBF components come first, one per bandwidth, followed by the linear
     Gram matrix when configured.  The stack depends only on the similarity
-    features, so it can be computed once and reused across parameter values.
-    It is written into ``out`` when given, such as one ground set's slice
-    of a :func:`gram_stack`.
+    features, so it can be computed once and reused across parameter
+    values.  It is :func:`gram_stack` on a split of one ground set.
     """
-    phi = instance.similarity_features
-    n = phi.shape[0]
-    grams = np.empty((config.n_weights, n, n)) if out is None else out
+    return gram_stack(instance.similarity_features[None], config)[:, 0]
+
+
+def gram_stack(phi, config):
+    """Base Gram matrices of a split, kernel axis first: (n_weights, n, N, N).
+
+    ``phi`` (n, N, d) stacks the similarity features of n ground sets with
+    a common item count.  The RBF Grams exp(-||phi_i - phi_j||^2 / sigma^2)
+    come first, one per bandwidth, from squared distances
+    ||phi_i||^2 + ||phi_j||^2 - 2 phi_i . phi_j clipped at zero, with a
+    zero diagonal; the linear Gram phi_i . phi_j comes last when
+    configured.  Each formula runs once over the whole split: the products
+    phi phi^T are one batched matmul, and each exponential one call.
+    """
+    phi = np.asarray(phi, dtype=float)
+    n, N = phi.shape[:2]
+    grams = np.empty((config.n_weights, n, N, N))
+    gram = phi @ np.swapaxes(phi, -1, -2)
     if config.bandwidths:
-        sq = np.sum(phi**2, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (phi @ phi.T)
+        sq = np.sum(phi**2, axis=-1)
+        d2 = sq[:, :, None] + sq[:, None, :] - 2.0 * gram
         np.maximum(d2, 0.0, out=d2)
-        np.fill_diagonal(d2, 0.0)
+        d2.reshape(n, N * N)[:, ::N + 1] = 0.0
         for k, sigma in enumerate(config.bandwidths):
             np.exp(-d2 / sigma**2, out=grams[k])
     if config.include_linear:
-        np.matmul(phi, phi.T, out=grams[-1])
-    return grams
-
-
-def gram_stack(instances, config):
-    """Base Gram matrices of ground sets with a common item count, kernel
-    axis first: (n_weights, n, N, N), each set's written in place."""
-    N = instances[0].n_items
-    grams = np.empty((config.n_weights, len(instances), N, N))
-    for row, inst in enumerate(instances):
-        base_similarity_stack(inst, config, out=grams[:, row])
+        grams[-1] = gram
     return grams
 
 

@@ -7,13 +7,14 @@ L_ij = q_i q_j S_ij with q_i = exp(theta . x_i), and labels the instance
 with the exhaustive MAP subset.  S is a single base kernel on the
 features: by default the linear kernel S_ij = x_i . x_j
 (:data:`TRUE_SIMILARITY`), or any one RBF exp(-||x_i - x_j||^2 / sigma^2)
-given as a one-kernel :class:`SimilarityConfig`.  The Gram matrices come
-from :func:`dpplearn.kernel.gram_stack` and L from
-:func:`dpplearn.kernel.similarity_stack` and ``kernel_stack``, the same
-code that evaluates learned kernels.  Label noise then flips the
-membership of each item independently with probability ``noise_prob``
-(an absent item is added, a present one dropped), so a fraction of
-labels disagrees with the noiseless MAP by one or more items.
+given as a one-kernel :class:`SimilarityConfig`.  The Gram matrices of
+all instances come from one :func:`dpplearn.kernel.gram_stack` call on
+the stacked features, and L from :func:`dpplearn.kernel.similarity_stack`
+and ``kernel_stack``, the same code that evaluates learned kernels.
+Label noise then flips the membership of each item independently with
+probability ``noise_prob`` (an absent item is added, a present one
+dropped), so a fraction of labels disagrees with the noiseless MAP by one
+or more items.
 
 Reproducibility: the generator is the counter-based Philox engine keyed by
 ``seed``, and the draw order is fixed: theta first; then, for every
@@ -99,6 +100,11 @@ def generate_dataset(config, similarity=TRUE_SIMILARITY):
     does not enter the random stream, so datasets drawn with the same
     config but different similarities share theta, features and flip
     coins, and differ only in their labels.
+
+    The labels of all instances come from one pass: the (n, N, d) features
+    of every split go through :func:`~dpplearn.kernel.gram_stack` and the
+    kernel assembly as one stack, and one ``map_exhaustive_stack`` call
+    finds all their MAP subsets.
     """
     if similarity.n_weights != 1:
         raise ParameterError(
@@ -116,9 +122,9 @@ def generate_dataset(config, similarity=TRUE_SIMILARITY):
         features[t] = rng.standard_normal((n, d))
         flips[t] = rng.random(n) < config.noise_prob
 
-    grams = gram_stack([GroundSetInstance(x, x) for x in features], similarity)
     L = kernel_stack(quality_stack(features, theta),
-                     similarity_stack(grams, np.array(TRUE_WEIGHTS)))
+                     similarity_stack(gram_stack(features, similarity),
+                                      np.array(TRUE_WEIGHTS)))
     clean = map_exhaustive_stack(L)
 
     instances = []

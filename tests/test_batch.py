@@ -116,6 +116,11 @@ def test_mixed_item_counts_are_grouped(rng):
     assert sum(b.n for b in batches) == len(data)
     positions = sorted(int(i) for b in batches for i in b.indices)
     assert positions == list(range(len(data)))
+    # similarity features of another dimension go into a batch of their own
+    data.append(make_instance(rng, n=4, d_s=2))
+    batches = stack_instances(data, RBF_SIM)
+    assert sorted(b.n_items for b in batches) == [4, 4, 5, 6]
+    assert [b.indices.tolist() for b in batches if b.n_items == 4] == [[6], [0, 2]]
 
 
 def test_map_stack_matches_public_op(rng):
@@ -376,9 +381,92 @@ def test_map_stack_ties_go_to_smaller_then_lexicographically_first():
         assert map_exhaustive_reference(L) == want
 
 
+def test_map_stack_at_the_eligibility_boundary():
+    # uncorrelated items: an item at L_ii = 1 ties the subset without it,
+    # which wins.  One just above 1 adds log L_ii = 2.2e-16, which a sum
+    # already holding log 2 rounds away, so it is kept only beside its kind
+    one, below, above = 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+    rng = np.random.default_rng(12)
+    diags = rng.choice([one, below, above, 2.0, 0.5], size=(40, 7))
+    diags[0], diags[1], diags[2] = one, below, above
+    got = _assert_map_is_oracle(np.stack([np.diag(d) for d in diags]))
+    assert got[:3] == [(), (), tuple(range(7))]
+    for y, d in zip(got, diags):
+        assert set(np.nonzero(d == 2.0)[0].tolist()) <= set(y)
+        assert all(d[i] > 1.0 for i in y)
+
+    # the same diagonals on correlated kernels: unit-diagonal forms with
+    # off-diagonal entries up to 0.9 in magnitude
+    A = rng.standard_normal((40, 7, 3))
+    R = A @ np.swapaxes(A, 1, 2) + 0.1 * np.eye(7)
+    r = np.sqrt(np.diagonal(R, axis1=1, axis2=2))
+    s = np.sqrt(diags) / r
+    L = s[:, :, None] * R * s[:, None, :]
+    L[:, np.arange(7), np.arange(7)] = diags  # exact, not rounded by scaling
+    assert np.all(np.linalg.eigvalsh(L)[:, 0] > 0)
+    for y, d in zip(_assert_map_is_oracle(L), diags):
+        assert all(d[i] > 1.0 for i in y)
+
+
+def test_map_stack_on_strongly_correlated_eligible_items():
+    # every item eligible, pairs correlated up to 0.999: each MAP subset
+    # keeps few of them, and the near-duplicates pick the first copy
+    rng = np.random.default_rng(13)
+    base = _psd_stack(rng, 30, 4)
+    copies = [0, 0, 1, 1, 2, 3, 3]
+    L = base[:, copies][:, :, copies]
+    L += 1e-3 * np.einsum("nii->ni", base)[:, copies][:, :, None] * np.eye(7)
+    L *= (1.5 / np.min(np.diagonal(L, axis1=1, axis2=2), axis=1))[:, None, None]
+    assert np.all(np.diagonal(L, axis1=1, axis2=2) > 1.0)
+    got = _assert_map_is_oracle(L)
+    assert len({len(y) for y in got}) > 1
+
+
+def test_map_stack_groups_every_eligible_count(monkeypatch):
+    # N = 8 with kernels of every count m = 0..8 of items with L_ii > 1,
+    # three of each, shuffled, so that one stack walks nine groups
+    N, rng = 8, np.random.default_rng(14)
+    counts = rng.permutation(np.repeat(np.arange(N + 1), 3))
+    L = _psd_stack(rng, counts.size, N)
+    d = np.sqrt(np.diagonal(L, axis1=1, axis2=2))
+    target = rng.uniform(0.2, 1.0, (counts.size, N))
+    for row, m in enumerate(counts):
+        target[row, rng.choice(N, m, replace=False)] = rng.uniform(1.05, 6.0, m)
+    s = np.sqrt(target) / d
+    L = s[:, :, None] * L * s[:, None, :]
+    eligible = np.count_nonzero(np.diagonal(L, axis1=1, axis2=2) > 1.0, axis=1)
+    assert np.array_equal(eligible, counts)
+    got = _assert_map_is_oracle(L)
+    assert {len(y) for y in got} >= {0, 1, 2}
+    for budget in (1, 40000):
+        monkeypatch.setattr(batch_mod, "MAP_CHUNK_BYTES", budget)
+        assert map_exhaustive_stack(L) == got
+
+
+def _eligible_psd_stack(rng, n, N):
+    """:func:`_psd_stack` scaled so that every diagonal entry exceeds 1, so
+    that MAP keeps all N items in its walk."""
+    L = _psd_stack(rng, n, N)
+    return L * (1.01 / np.min(np.diagonal(L, axis1=1, axis2=2), axis=1))[:, None, None]
+
+
+def _count_walk_sizes(monkeypatch):
+    """Record the item count of every _best_by_size call, recursive ones
+    included."""
+    sizes = []
+    inner = batch_mod._best_by_size
+
+    def counted(L, base):
+        sizes.append(L.shape[0])
+        return inner(L, base)
+
+    monkeypatch.setattr(batch_mod, "_best_by_size", counted)
+    return sizes
+
+
 def test_map_stack_subtree_split_equals_one_walk(monkeypatch):
     rng = np.random.default_rng(6)
-    stacks = [_psd_stack(rng, 3, N) for N in (14, 15, 16)]
+    stacks = [_eligible_psd_stack(rng, 3, N) for N in (14, 15, 16)]
     whole = [map_exhaustive_stack(L) for L in stacks]
     budget = 1 << 18  # under one 14-item walk: 16 items split three levels deep
     monkeypatch.setattr(batch_mod, "MAP_CHUNK_BYTES", budget)
@@ -386,14 +474,21 @@ def test_map_stack_subtree_split_equals_one_walk(monkeypatch):
         got, peak = _peak_bytes(map_exhaustive_stack, L)
         assert got == want
         assert peak <= budget
+    sizes = _count_walk_sizes(monkeypatch)
+    map_exhaustive_stack(stacks[-1])
+    assert sizes[0] == 16 and 13 in sizes
 
 
-def test_map_stack_temporaries_stay_within_the_budget():
+def test_map_stack_temporaries_stay_within_the_budget(monkeypatch):
     # one walk of 16 items holds about 1.4 MB per kernel, 29 MB for all 20
-    L = _psd_stack(np.random.default_rng(7), 20, 16)
+    L = _eligible_psd_stack(np.random.default_rng(7), 20, 16)
     got, peak = _peak_bytes(map_exhaustive_stack, L)
     assert peak <= batch_mod.MAP_CHUNK_BYTES
     assert len(got) == 20
+    # the 20 kernels keep all 16 items and take more than one chunk
+    sizes = _count_walk_sizes(monkeypatch)
+    map_exhaustive_stack(L)
+    assert len(sizes) > 1 and set(sizes) == {16}
 
 
 def _resolvent_case(rng, kind):
@@ -435,6 +530,29 @@ def test_indefinite_base_gram_names_the_instance(rng):
     with pytest.raises(NotPositiveSemidefiniteError, match="instance 13"):
         hinge_terms(batch, np.zeros(3), np.full(3, 1 / 3), 1.0, 1.0, True)
     assert not batch.grams_checked
+
+
+@pytest.mark.parametrize("lowest, eigvalsh_calls, raises", [
+    (-0.4e-6, 0, False),  # certified by the Cholesky factor of G + tol/2 I
+    (-0.75e-6, 1, False),  # no factor; the eigenvalues pass the rule
+    (-2e-6, 1, True),  # no factor; the eigenvalues fail the rule
+])
+def test_base_grams_certified_by_cholesky(rng, monkeypatch, lowest,
+                                          eigvalsh_calls, raises):
+    data = [make_instance(rng, n=5) for _ in range(6)]
+    batch = stack_instances(data, RBF_SIM)[0]
+    batch.indices = np.arange(10, 16)
+    Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    batch.grams[1, 4] = (Q * [lowest, 0.0, 0.5, 1.0, 2.0]) @ Q.T
+    assert np.linalg.eigvalsh(batch.grams[1, 4])[0] == pytest.approx(lowest, rel=1e-6)
+    calls = _count_linalg(monkeypatch)
+    if raises:
+        with pytest.raises(NotPositiveSemidefiniteError, match="instance 14"):
+            batch_mod.check_grams(batch)
+    else:
+        batch_mod.check_grams(batch)
+    assert calls["eigvalsh"] == eigvalsh_calls
+    assert batch.grams_checked is not raises
 
 
 def test_kernel_without_cholesky_factor_names_the_instance():
@@ -495,8 +613,8 @@ def test_closed_form_theta_gradient_matches_the_chain_rule(lam):
 
 
 def _count_linalg(monkeypatch):
-    """Count the calls to numpy.linalg's cholesky, inv and eigh."""
-    calls = dict.fromkeys(("cholesky", "inv", "eigh"), 0)
+    """Count the calls to numpy.linalg's cholesky, inv, eigh and eigvalsh."""
+    calls = dict.fromkeys(("cholesky", "inv", "eigh", "eigvalsh"), 0)
     for name in calls:
         def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -514,16 +632,20 @@ def test_passes_factor_by_cholesky_alone(rng, monkeypatch):
     calls = _count_linalg(monkeypatch)
     _, g_t, _, _ = dataset_value_and_grad(batches, theta, weights, 1.5, 2.0,
                                           "theta")
-    # at a new weight vector: one factorization of L + I and one of the
-    # padded labels per batch
-    assert calls == {"cholesky": 2 * len(batches), "inv": 0, "eigh": 0}
+    # the first pass certifies the base Grams by one factorization per
+    # base kernel and batch and needs no eigenvalues; at a new weight
+    # vector: one factorization of L + I and one of the padded labels per
+    # batch
+    assert calls == {"cholesky": (RBF_SIM.n_weights + 2) * len(batches),
+                     "inv": 0, "eigh": 0, "eigvalsh": 0}
     assert g_t.any()
 
     for block in ("theta", "weights"):
         calls.update(cholesky=0)
         g = dataset_value_and_grad(batches, theta, weights, 1.5, 2.0, block)
         # at the same weights the labels' factor is reused: only L + I
-        assert calls == {"cholesky": len(batches), "inv": 0, "eigh": 0}
+        assert calls == {"cholesky": len(batches), "inv": 0, "eigh": 0,
+                         "eigvalsh": 0}
         assert g[1 if block == "theta" else 2].any()
 
 

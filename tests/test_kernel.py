@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import RBF_SIM, make_instance, make_kernel
-from oracles import enumerate_probabilities, superset_sum
+from oracles import enumerate_probabilities, gram_references, superset_sum
 
 from dpplearn import (
     EnsembleKernel,
@@ -22,6 +22,7 @@ from dpplearn import (
     marginal_kernel_from_L,
     subset_marginal,
 )
+from dpplearn.kernel import base_similarity_stack, gram_stack
 
 
 class TestSubset:
@@ -306,3 +307,40 @@ def random_psd_factory():
         return (Q * evals) @ Q.T
 
     return build
+
+
+def _per_set_grams(phi, config):
+    """The base Grams of one ground set, by the per-set formulas that
+    gram_stack once applied in a loop over the ground sets of a split."""
+    n = phi.shape[0]
+    grams = np.empty((config.n_weights, n, n))
+    if config.bandwidths:
+        sq = np.sum(phi**2, axis=1)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (phi @ phi.T)
+        np.maximum(d2, 0.0, out=d2)
+        np.fill_diagonal(d2, 0.0)
+        for k, sigma in enumerate(config.bandwidths):
+            np.exp(-d2 / sigma**2, out=grams[k])
+    if config.include_linear:
+        np.matmul(phi, phi.T, out=grams[-1])
+    return grams
+
+
+@pytest.mark.parametrize("config", [
+    SimilarityConfig(bandwidths=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0), include_linear=False),
+    SimilarityConfig(bandwidths=(), include_linear=True),
+    RBF_SIM,
+], ids=["rbf-bank", "linear", "rbf-and-linear"])
+@pytest.mark.parametrize("N", [1, 10, 17])
+def test_gram_stack_on_a_stacked_split(config, N):
+    rng = np.random.default_rng(N)
+    phi = rng.standard_normal((30, N, 5))
+    phi[3, 1:] = phi[3, 0]  # one ground set of identical items
+    grams = gram_stack(phi, config)
+    assert grams.shape == (config.n_weights, 30, N, N)
+    for row, p in enumerate(phi):
+        ref = np.stack(gram_references(p, config))
+        assert np.max(np.abs(grams[:, row] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+        assert np.array_equal(grams[:, row], _per_set_grams(p, config))
+        inst = GroundSetInstance(p, p)
+        assert np.array_equal(base_similarity_stack(inst, config), grams[:, row])

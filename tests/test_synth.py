@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from dpplearn import (
 )
 from dpplearn.kernel import base_similarity_stack
 from dpplearn.batch import build_L_stack, map_exhaustive_stack, stack_instances
+from dpplearn.harness import FIG1C_SIMILARITY
 
 
 SMALL = SynthConfig(n_train=20, n_holdout=8, n_test=8, seed=42)
@@ -79,6 +82,22 @@ class TestGenerateDataset:
         ]
         assert len(sizes) == 1000
         assert 4.0 <= np.mean(sizes) <= 6.0
+
+    @pytest.mark.parametrize("similarity, digest", [
+        (TRUE_SIMILARITY,
+         "1274a5ef394c497f4bd5da966d3b2ba4ca0d4e2273512dd92e5243f0b21c0a7b"),
+        (FIG1C_SIMILARITY,
+         "4394874ce38b3fa55628998a4660f566298c470b49b337db129e9812fc3fc3fb"),
+    ], ids=["linear", "fig1c"])
+    def test_labels_are_pinned(self, similarity, digest):
+        # SHA-256 of the labels of every split of the default config, seeds
+        # 0-2: a MAP or kernel change that moves one label changes it
+        h = hashlib.sha256()
+        for seed in range(3):
+            ds = generate_dataset(SynthConfig(seed=seed), similarity)
+            for split in (ds.train, ds.holdout, ds.test):
+                h.update(repr([inst.label for inst in split]).encode())
+        assert h.hexdigest() == digest
 
     def test_generating_similarity_is_one_kernel(self):
         with pytest.raises(ParameterError):
