@@ -41,10 +41,12 @@ lambda_min(R) >= 1 / tr(R^{-1}) while lambda_max(R) <= k for a label of
 k items, so a label with tr(R^{-1}) k ``LABEL_SINGULAR_RTOL`` < 1/2 is
 nonsingular by a factor of two, and its log-determinant comes from the
 factor's diagonal.  The bound is one-sided: every other label goes
-through ``label_spectra``.  The objective is a smooth function of theta.
+through ``label_spectra``.  A singular label, one of probability zero,
+is scored by its margin term alone.  The objective is then a smooth
+function of theta, and its gradient is the derivative of its value.
 The theta gradient is in closed form and needs no label inverse.  The
-kernel-weight gradient needs S_y^{-1}, which the same factor gives; it is
-built the first time a weights pass asks for it.
+kernel-weight gradient, which exists only for more than one base kernel,
+needs S_y^{-1}, which the same factor gives.
 
 Exhaustive MAP first drops every item with L_ii <= 1, which no MAP
 subset holds: adding an item multiplies det(L_y) by its Schur pivot, at
@@ -106,8 +108,8 @@ class InstanceBatch:
             self.mask[row, list(inst.label or ())] = True
         self.size_groups = label_groups(self.mask)
         self.grams_checked = False
-        # the SimilarityTerms of the last weight vector a pass used: S, the
-        # label log-dets and flags, and the label inverses once asked for
+        # the SimilarityTerms of the last weight vector a pass used: S and
+        # the label log-dets, flags and factor
         self.label_cache = None
 
 
@@ -151,7 +153,7 @@ def stack_instances(dataset, similarity):
 
 def build_L_stack(batch, theta, weights):
     """Qualities (n, N) and kernels (n, N, N) for every instance in a batch."""
-    q = quality_stack(batch.X, theta)
+    q = quality_stack(batch.X, theta, batch.indices)
     return q, kernel_stack(q, similarity_stack(batch.grams, weights))
 
 
@@ -266,7 +268,7 @@ def label_terms(M, size_groups):
     ``M`` (n, N, N) is a stack of kernels or of similarities S, whose
     labels have the same flags.  Returns ``(logdet_y, singular, factor)``
     under the rule of :func:`~dpplearn.kernel.label_spectra`: a singular
-    label has the finite surrogate log-determinant.
+    label has log-determinant -inf.
 
     One batched Cholesky factorization C C^T = P of the labels' padded
     unit-diagonal forms (:func:`_unit_diagonal_forms`) decides most rows.
@@ -374,13 +376,6 @@ def chain_to_weights(V, grams):
     return grams.reshape(grams.shape[0], -1) @ V.reshape(-1)
 
 
-def _grad_blocks(want_grad):
-    """(theta wanted, weights wanted) for a ``want_grad`` argument."""
-    if want_grad not in (True, False, "theta", "weights"):
-        raise ParameterError(f"unknown want_grad {want_grad!r}")
-    return want_grad in (True, "theta"), want_grad in (True, "weights")
-
-
 def theta_rates(kdiag, invB, mask, singular, omega, A, lam):
     """r_i = sum_j U_ij L_ij for the hinge's dF/dL = U, per row, without U.
 
@@ -406,31 +401,20 @@ class SimilarityTerms:
     """What every pass over a batch at one kernel-weight vector shares.
 
     ``S`` is the batch's :func:`~dpplearn.kernel.similarity_stack` at the
-    weights whose bytes are ``key``; ``logdet`` and ``singular`` are the
-    read-only log det S_y and flags of :func:`label_terms`.  The padded
-    label inverses S_y^{-1} (:func:`label_inverse`) are built from the
-    same factor the first time :meth:`label_inverse` is called, so a
-    theta pass never pays for them.
+    weights whose bytes are ``key``; ``logdet``, ``singular`` and
+    ``factor`` are the read-only log det S_y, flags and label factor of
+    :func:`label_terms`, from which :func:`label_inverse` builds S_y^{-1}.
     """
 
-    __slots__ = ("key", "S", "logdet", "singular", "_factor", "_inverse")
+    __slots__ = ("key", "S", "logdet", "singular", "factor")
 
     def __init__(self, batch, weights, key):
         self.key = key
         self.S = similarity_stack(batch.grams, weights)
-        self.logdet, self.singular, self._factor = label_terms(
+        self.logdet, self.singular, self.factor = label_terms(
             self.S, batch.size_groups)
         self.logdet.setflags(write=False)
         self.singular.setflags(write=False)
-        self._inverse = None
-
-    def label_inverse(self, batch, context=""):
-        if self._inverse is None:
-            self._inverse = label_inverse(self.S, batch.mask, self.singular,
-                                          self._factor, batch.indices, context)
-            self._inverse.setflags(write=False)
-            self._factor = None
-        return self._inverse
 
 
 def similarity_label_terms(batch, weights):
@@ -438,9 +422,8 @@ def similarity_label_terms(batch, weights):
 
     A one-entry cache on the batch, keyed by the bytes of ``weights``,
     returns the same terms while the weights stay the same, as they do
-    across every pass of a theta-only fit and from a joint fit's
-    recording pass to the weights pass after it.  So S is mixed and the
-    labels are factored once per weight vector.
+    across every pass of a theta-only fit.  So S is mixed and the labels
+    are factored once per weight vector.
     """
     key = np.asarray(weights, dtype=float).tobytes()
     if batch.label_cache is None or batch.label_cache.key != key:
@@ -448,17 +431,20 @@ def similarity_label_terms(batch, weights):
     return batch.label_cache
 
 
-def hinge_terms(batch, theta, weights, lam, omega, want_grad, context=""):
-    """Hinge objective pieces and (optionally) its subgradient for one batch.
+def hinge_terms(batch, theta, weights, lam, omega, want_grad=True, context=""):
+    """Hinge objective and (optionally) its gradient for one batch.
 
-    Returns ``(value, g_theta, g_weights, n_singular)`` where value sums
-    max(0, -log P(y_n) + lam * log A_n) over the batch.  ``want_grad`` is
-    True for both gradient blocks, "theta" or "weights" for one of them,
-    False for none; a block not asked for is None.  The value does not
-    depend on ``want_grad``.  Instances whose label is singular (see
-    :func:`label_terms`) enter with the finite surrogate log-determinant,
-    so the objective stays recordable, and contribute only the
-    margin-term gradient.  The first call on a batch runs
+    Returns ``(value, g_theta, g_weights, n_singular)``.  An instance
+    whose label is nonsingular (see :func:`label_terms`) adds
+    max(0, -log P(y_n) + lam * log A_n).  One whose label is singular,
+    and so has probability zero, adds lam * log A_n and always counts as
+    active: its margin term alone, which is 0 at lam = 0 and, since
+    A_n >= min(1, omega) in exact arithmetic, bounded below.  So the
+    gradient is the derivative of the value wherever no hinge sits at its
+    kink and the set of singular labels stays put.  The gradient blocks
+    are None when ``want_grad`` is false, and g_weights is None for a
+    single base kernel, whose weight the simplex pins at 1.  The value
+    does not depend on ``want_grad``.  The first call on a batch runs
     :func:`check_grams`.
 
     S and the label terms come from :func:`similarity_label_terms`, once
@@ -469,47 +455,49 @@ def hinge_terms(batch, theta, weights, lam, omega, want_grad, context=""):
     singular depends on the weights alone.  The theta block is in closed
     form (:func:`theta_rates`).  The weights block chains
     dF/dS = q_i q_j (B + M)_ij - (S_y^{-1})_ij, with B = (L + I)^{-1}
-    (left out on singular rows) and M = :func:`margin_grad`, over the rows
-    with an active hinge; the label part needs no qualities, since
-    q_i q_j (L_y^{-1})_ij = (S_y^{-1})_ij.  Its S_y^{-1} is built once per
-    weight vector, from the factor the label terms kept.
+    (left out on singular rows) and M = :func:`margin_grad`, over the
+    active rows; the label part needs no qualities, since
+    q_i q_j (L_y^{-1})_ij = (S_y^{-1})_ij, and S_y^{-1} comes from the
+    factor the label terms kept.
     """
-    want_theta, want_weights = _grad_blocks(want_grad)
     check_grams(batch, context)
     terms = similarity_label_terms(batch, weights)
-    q = quality_stack(batch.X, theta)
+    q = quality_stack(batch.X, theta, batch.indices, context)
     L = kernel_stack(q, terms.S)
     logdetB, invB = resolvent_stack(L, batch.indices, context)
     logdet_y = terms.logdet + 2.0 * np.sum(batch.X @ theta, axis=1, where=batch.mask)
     kdiag = 1.0 - np.diagonal(invB, axis1=1, axis2=2)
     A, logA = margin_mass(kdiag, batch.mask, omega)
 
-    z = logdetB - logdet_y
+    singular = terms.singular
+    # a singular row, whose logdet_y is -inf, keeps its margin term alone
+    z = np.where(singular, 0.0, logdetB - logdet_y)
     if lam > 0:
         z = z + lam * logA
-    value = float(np.sum(np.maximum(z, 0.0)))
-    n_singular = int(np.count_nonzero(terms.singular))
+    value = float(np.sum(np.where(singular, z, np.maximum(z, 0.0))))
+    n_singular = int(np.count_nonzero(singular))
     if not want_grad:
         return value, None, None, n_singular
 
-    g_theta = np.zeros_like(theta) if want_theta else None
+    g_theta = np.zeros_like(theta)
+    want_weights = np.size(weights) > 1
     g_weights = np.zeros_like(weights) if want_weights else None
-    act = np.nonzero(z > 0)[0]
+    act = np.nonzero((z > 0) | singular)[0]
     if act.size == 0:
         return value, g_theta, g_weights, n_singular
     # every hinge is active in most passes: then take views, not copies
     rows = slice(None) if act.size == batch.n else act
     invB, mask, A = invB[rows], batch.mask[rows], A[rows]
-    singular = terms.singular[rows]
-    if want_theta:
-        r = theta_rates(kdiag[rows], invB, mask, singular, omega, A, lam)
-        g_theta = 2.0 * np.einsum("mi,mid->d", r, batch.X[rows])
+    singular = singular[rows]
+    r = theta_rates(kdiag[rows], invB, mask, singular, omega, A, lam)
+    g_theta = 2.0 * np.einsum("mi,mid->d", r, batch.X[rows])
     if want_weights:
         U = np.where(singular[:, None, None], 0.0, invB)
         if lam > 0:
             U += margin_grad(invB, mask, omega, A, lam)
         V = kernel_stack(q[rows], U)
-        V -= terms.label_inverse(batch, context)[rows]
+        V -= label_inverse(terms.S, batch.mask, terms.singular, terms.factor,
+                           batch.indices, context)[rows]
         if rows is act:
             V_all = np.zeros_like(L)
             V_all[act] = V
@@ -522,11 +510,12 @@ def dataset_value_and_grad(batches, theta, weights, lam, omega, want_grad=True,
                            context=""):
     """Sum :func:`hinge_terms` over all batches of a dataset.
 
-    ``want_grad`` selects the gradient blocks as in :func:`hinge_terms`.
+    One pass: the value and, when ``want_grad`` is true, both gradient
+    blocks (g_weights None for a single base kernel).
     """
-    want_theta, want_weights = _grad_blocks(want_grad)
+    want_weights = want_grad and np.size(weights) > 1
     total = 0.0
-    g_theta = np.zeros_like(theta) if want_theta else None
+    g_theta = np.zeros_like(theta) if want_grad else None
     g_weights = np.zeros_like(weights) if want_weights else None
     n_singular = 0
     for batch in batches:
@@ -535,7 +524,7 @@ def dataset_value_and_grad(batches, theta, weights, lam, omega, want_grad=True,
         )
         total += val
         n_singular += ns
-        if want_theta:
+        if want_grad:
             g_theta += gt
         if want_weights:
             g_weights += gw

@@ -167,7 +167,8 @@ def _cmd_train(args):
     serialize.write_train_result(out / "train_result.json", result, cfg["train"])
     print(f"trained on {len(instances)} instances, "
           f"{result.iterations_used} iterations, "
-          f"final objective {result.objective_trace[-1]!r}")
+          f"final objective {result.objective_trace[-1]!r}, "
+          f"stopped on {result.stop_reason}")
     return EXIT_OK
 
 
@@ -259,11 +260,10 @@ def _cmd_gradcheck(args):
         batches = batch.stack_instances([inst], sim)
 
         def grad_pass(v):
-            # one trainer pass per gradient block; f is these passes' value,
+            # one trainer pass gives both blocks; f is this pass's value,
             # since instance_objective is the pass on a stack of one
-            point = (batches, v[:d], v[d:], config.lam, config.omega)
-            gt = batch.dataset_value_and_grad(*point, want_grad="theta")[1]
-            gw = batch.dataset_value_and_grad(*point, want_grad="weights")[2]
+            _, gt, gw, _ = batch.dataset_value_and_grad(
+                batches, v[:d], v[d:], config.lam, config.omega)
             return np.concatenate([gt, gw])
 
         report = finite_difference_check(f, grad, v0, step=args.step)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotPositiveSemidefiniteError, ParameterError
+from .errors import NotPositiveSemidefiniteError, NumericalError, ParameterError
 
 # Negative eigenvalues of L down to -EIG_CLAMP_TOL (lower on large spectra)
 # are rounding noise and clamped to zero; see clamp_psd_stack.
@@ -38,10 +38,10 @@ EIG_CLAMP_TOL = 1e-6
 # most this fraction of its largest counts as numerically singular.
 LABEL_SINGULAR_RTOL = 1e-8
 
-# Jitter added to the clamped eigenvalues of a singular label's unit-diagonal
-# form for its finite surrogate log-determinant.  Those eigenvalues sum to
-# the label size whatever the scale of L, so the jitter is relative.
-LABEL_JITTER = 1e-10
+# Largest x . theta a quality may carry.  Past it q_i q_j exceeds the
+# square root of the largest double, and L, L + I and their factors would
+# hold inf or nan; quality_stack raises instead.
+LOG_QUALITY_MAX = 0.25 * math.log(np.finfo(float).max)
 
 # Loose enough that finite-difference probes (step ~1e-5) of the objective
 # remain inside the accepted domain; tight enough to catch real mistakes.
@@ -291,9 +291,24 @@ def gram_stack(phi, config):
     return grams
 
 
-def quality_stack(X, theta):
-    """Qualities q = exp(X theta) for quality features X of shape (..., N, d_q)."""
-    return np.exp(X @ theta)
+def quality_stack(X, theta, indices=None, context=""):
+    """Qualities q = exp(X theta) for quality features X of shape (..., N, d_q).
+
+    Raises NumericalError when some x . theta exceeds ``LOG_QUALITY_MAX``,
+    naming the first such ground set by its entry in ``indices`` (its row
+    when ``indices`` is None) and its largest |x . theta|.
+    """
+    z = X @ theta
+    top = np.ravel(np.max(z, axis=-1, initial=-np.inf))
+    bad = ~(top <= LOG_QUALITY_MAX)  # nan counts as overflow
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        name = f"row {row}" if indices is None else f"instance {int(indices[row])}"
+        largest = np.max(np.abs(np.reshape(z, (top.size, -1))[row]))
+        raise NumericalError(
+            f"qualities for {name} overflow{context}: largest |x . theta| is "
+            f"{largest:.4g}, above {LOG_QUALITY_MAX:.4g}")
+    return np.exp(z)
 
 
 def similarity_stack(grams, weights):
@@ -387,10 +402,8 @@ def label_spectra(sub):
     qualities, and its eigenvalues sum to k whatever the scale of L.
     A submatrix is singular when it has a diagonal entry <= 0 or when the
     smallest eigenvalue of R is at most ``LABEL_SINGULAR_RTOL`` times its
-    largest.  A singular row's logdet is the trainer's finite surrogate:
-    the eigenvalues of R enter as log(max(eig, 0) + LABEL_JITTER), and a
-    diagonal entry <= 0 is left unscaled and adds no log M_ii.  Only
-    eigenvalues are computed.
+    largest.  A singular row's logdet is -inf.  Only eigenvalues are
+    computed.
     """
     d = np.diagonal(sub, axis1=1, axis2=2)
     positive = d > 0
@@ -399,10 +412,10 @@ def label_spectra(sub):
     evals = np.linalg.eigvalsh(sub * scale[:, :, None] * scale[:, None, :])
     singular = ~np.all(positive, axis=1) | (
         evals[:, 0] <= np.maximum(0.0, LABEL_SINGULAR_RTOL * evals[:, -1]))
-    safe = np.where(
-        singular[:, None], np.maximum(evals, 0.0) + LABEL_JITTER, evals
-    )
-    return np.sum(np.log(d), axis=1) + np.sum(np.log(safe), axis=1), singular
+    logdet = np.full(len(sub), -np.inf)
+    ok = ~singular
+    logdet[ok] = np.sum(np.log(d[ok]), axis=1) + np.sum(np.log(evals[ok]), axis=1)
+    return logdet, singular
 
 
 def log_subset_det(L_matrix, y):
@@ -414,16 +427,15 @@ def log_subset_det(L_matrix, y):
     """
     if not y:
         return 0.0
-    logdet, singular = label_spectra(np.asarray(L_matrix)[np.ix_(y, y)][None])
-    return -math.inf if singular[0] else float(logdet[0])
+    return float(label_spectra(np.asarray(L_matrix)[np.ix_(y, y)][None])[0][0])
 
 
 def log_probability(L, y):
     """log P(y; L) = log det(L_y) - log det(L + I).
 
     Returns -inf (never raises) on exactly the labels the trainer counts
-    as singular (:func:`label_spectra`), where the trainer's objective
-    uses a finite surrogate instead; on every other label log det(L_y)
+    as singular (:func:`label_spectra`), which the trainer's objective
+    scores by their margin term alone; on every other label log det(L_y)
     is the trainer's, sum_i log L_ii plus the log-determinant of the
     unit-diagonal form.
     """

@@ -14,25 +14,25 @@ per-instance functions here evaluate it on a stack of one.
 
 With L = diag(q) S diag(q), log det L_y = 2 sum_{i in y} theta . x_i +
 log det S_y, and the singular-label rule looks only at the unit-diagonal
-form of S_y (:func:`dpplearn.kernel.label_spectra`).  So the objective is
-a smooth function of theta, the set of singular labels depends on the
-kernel weights alone, and a fit factors the labels once per
-kernel-weight vector rather than once per pass
+form of S_y (:func:`dpplearn.kernel.label_spectra`).  A singular label
+has probability zero, and its instance adds lam * log A_n, its margin
+term alone.  So the objective is a smooth function of theta whose
+gradient is the derivative of its value, the set of singular labels
+depends on the kernel weights alone, and a fit factors the labels once
+per kernel-weight vector rather than once per pass
 (:func:`dpplearn.batch.similarity_label_terms`).  Its relative change
 between iterations is then a meaningful stopping test.
 
-Optimization is block-alternating projected subgradient descent: a block
-of steps on theta with the kernel weights fixed, then a block of projected
-steps on the kernel weights, repeating with a diminishing step size.
-The schedule is fixed (``STEP_SIZE``, ``ALTERNATION_BLOCK``,
-``GRAD_CLIP``); :class:`TrainConfig` holds only the objective's lam and
-omega and the two stopping rules.
-Every objective evaluation is one pass of
-:func:`dpplearn.batch.dataset_value_and_grad` over the training set, and
-each pass computes only the gradient block that the next step uses.  The
-pass that records an outer iteration's objective also gives the theta
-gradient for the next iteration's first step, so no iterate is evaluated
-twice.
+Optimization is L-BFGS (Liu & Nocedal, Math. Programming 45, 1989) on
+(theta, u), with kernel weights w = softmax(u), so they stay on the
+simplex without a projection; a single base kernel's weight is pinned
+at 1 and only theta is fitted.  Every objective evaluation is one pass
+of :func:`dpplearn.batch.dataset_value_and_grad` over the training set,
+which gives the value and the full gradient.  The optimizer's constants
+are fixed (``LBFGS_MEMORY``, ``ARMIJO_C``, ``MAX_HALVINGS``);
+:class:`TrainConfig` holds only the objective's lam and omega and the
+two stopping rules, and ``max_outer_iterations`` T budgets 3T + 1
+passes.
 """
 
 from __future__ import annotations
@@ -56,16 +56,17 @@ from .kernel import (
 logger = logging.getLogger(__name__)
 
 
-# The subgradient schedule: outer iteration t steps STEP_SIZE / sqrt(t) on
-# the per-instance average subgradient, ALTERNATION_BLOCK times per block.
-STEP_SIZE = 0.5
-ALTERNATION_BLOCK = 3
-# Cap on the norm of each block's average subgradient.  A label that is
-# nearly impossible under the current kernel makes the inverse of its
-# submatrix, and hence the kernel-weight subgradient, arbitrarily large;
-# the cap keeps one such instance from wrecking the iterate while keeping
-# the descent direction.
-GRAD_CLIP = 10.0
+# L-BFGS: the number of curvature pairs kept, the sufficient-decrease
+# constant of the Armijo test, and how many times a line search halves a
+# step before it gives up.
+LBFGS_MEMORY = 8
+ARMIJO_C = 1e-4
+MAX_HALVINGS = 30
+
+# Why train stopped: the relative change met rel_tolerance (or the start
+# was stationary), the pass budget ran out, or no step passed the Armijo
+# test.
+STOP_REASONS = ("tolerance", "budget", "no_step")
 
 
 @dataclass(frozen=True)
@@ -81,11 +82,11 @@ class TrainConfig:
     omega : float
         Weight on missed label items in the generalized Hamming loss.
     max_outer_iterations : int
-        Iteration budget of :func:`train`.
+        T: :func:`train` makes at most 3T + 1 passes over the data.
     rel_tolerance : float
-        Stop, with ``converged`` True, after the first outer iteration
-        whose recorded objective differs from the previous iteration's by
-        at most ``rel_tolerance * max(1, |previous|)``.
+        Stop, with ``converged`` True, after the first accepted step
+        whose objective differs from the previous iterate's by at most
+        ``rel_tolerance * max(1, |previous|)``.
     """
 
     similarity: SimilarityConfig = field(default_factory=SimilarityConfig)
@@ -107,10 +108,28 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainResult:
+    """A fit: its parameters, the objective after every accepted step (or
+    at the start, when there was none), whether the tolerance was met, the
+    number of accepted steps, and why it stopped: one of
+    ``STOP_REASONS``, by default "tolerance" when ``converged``, else
+    "budget"."""
+
     params: ModelParams
     objective_trace: tuple
     converged: bool
     iterations_used: int
+    stop_reason: str = None
+
+    def __post_init__(self):
+        if self.stop_reason is None:
+            object.__setattr__(self, "stop_reason",
+                               "tolerance" if self.converged else "budget")
+        if self.stop_reason not in STOP_REASONS:
+            raise ParameterError(f"unknown stop reason {self.stop_reason!r}")
+        if self.converged != (self.stop_reason == "tolerance"):
+            raise ParameterError(
+                f"converged={self.converged} contradicts stop reason "
+                f"{self.stop_reason!r}")
 
 
 def _label_mask(y_star, n_items):
@@ -141,8 +160,8 @@ def instance_objective(params, instance, config):
 
     [ -log P(y; L) + lam * softmax_margin_term ]_+ with L built from the
     instance features and ``params``.  A label whose kernel submatrix is
-    numerically singular (``kernel.LABEL_SINGULAR_RTOL``) enters with the
-    trainer's finite surrogate log-determinant, so the value is finite.
+    numerically singular (``kernel.LABEL_SINGULAR_RTOL``) has probability
+    zero and scores lam * softmax_margin_term, unclipped: 0 at lam = 0.
     """
     return total_objective(params, [instance], config)
 
@@ -150,7 +169,9 @@ def instance_objective(params, instance, config):
 def total_objective(params, dataset, config):
     """Hinge objective summed over a dataset (0 when empty).
 
-    The value :func:`train` records in ``objective_trace``.
+    Each instance adds its :func:`instance_objective`: the hinge
+    [ -log P(y; L) + lam * log A ]_+, or lam * log A alone when its label
+    is singular.  The value :func:`train` records in ``objective_trace``.
     """
     dataset = list(dataset)
     if not dataset:
@@ -270,43 +291,63 @@ def finite_difference_check(f, grad, x0, step=1e-5):
     return FiniteDifferenceReport(analytic, numeric, np.abs(analytic - numeric) / denom)
 
 
-def _clip(g, max_norm):
-    norm = float(np.linalg.norm(g))
-    if norm > max_norm:
-        return g * (max_norm / norm)
-    return g
+def _softmax(u):
+    e = np.exp(u - np.max(u))
+    return e / np.sum(e)
+
+
+def _lbfgs_direction(g, pairs):
+    """-H g by the two-loop recursion over the curvature pairs (s, y, 1/s.y),
+    with H_0 = (s.y / y.y) I from the newest pair; -g when there is none."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * (s @ q)
+        q -= a * y
+        alphas.append(a)
+    if pairs:
+        s, y, rho = pairs[-1]
+        q *= 1.0 / (rho * (y @ y))
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * (y @ q)) * s
+    return -q
 
 
 def train(dataset, config, initial=None):
-    """Fit parameters by block-alternating projected subgradient descent.
+    """Fit parameters by L-BFGS on the hinge objective.
 
-    Each outer iteration t runs ``ALTERNATION_BLOCK`` subgradient steps on
-    theta, then the same number of projected steps on the kernel weights
-    (skipped when there is a single base kernel, since the simplex then
-    pins the weight at 1), with step ``STEP_SIZE / sqrt(t)``.  Steps use
-    the average subgradient over instances, so ``STEP_SIZE`` is insensitive
-    to dataset size, clipped to norm ``GRAD_CLIP``.  The hinge subgradient
-    is zero whenever the bracket is nonpositive.
+    The objective is :func:`total_objective`: over instances, the hinge
+    [ -log P(y_n) + lam * log A_n ]_+, where an instance whose label
+    submatrix is numerically singular (the label is impossible under a
+    rank-deficient similarity, e.g. after label noise inflates a subset
+    past the feature rank) adds lam * log A_n, its margin term alone, 0
+    at lam = 0; a warning reports how many instances that is.  The
+    gradient of every pass is the derivative of that value.
 
-    Pass schedule, with B = ``ALTERNATION_BLOCK``: one pass at the
-    starting point gives the first theta gradient.  Outer iteration t
-    then makes B - 1 theta-gradient passes (its first step reuses the
-    gradient it starts with), B weight-gradient passes when the weights
-    are learned, and one pass at the new iterate that records the
-    objective and computes the theta gradient for iteration t + 1.  T
-    iterations thus cost 2BT + 1 passes with weights, BT + 1 without.
+    The variables are theta and, with more than one base kernel, u with
+    kernel weights softmax(u), starting from u = log w (a zero weight
+    starts at the log of the smallest normal double).  A single kernel's
+    weight is 1.  Each iteration takes the L-BFGS direction
+    (``LBFGS_MEMORY`` pairs) and an Armijo backtracking line search
+    (``ARMIJO_C``) from step 1, halving the step on failure; the first
+    direction, and any direction after the memory is reset, is -g with
+    step 1 / ||g||.  A trial point that raises NumericalError (its
+    qualities overflow, say) or has a non-finite value fails the test.
+    When ``MAX_HALVINGS`` halvings find no step, the memory is cleared
+    and the line search retried along -g; when that fails too, the fit
+    stops with reason "no_step".  A pair with s . y <= 0, which the
+    hinge's kinks can give, is not kept.
 
-    Instances whose label submatrix is numerically singular (the label is
-    impossible under a rank-deficient similarity, e.g. after label noise
-    inflates a subset past the feature rank) contribute a finite jittered
-    surrogate to the recorded objective and only the margin-term gradient;
-    a warning reports how many instances were affected.  The rule looks
-    at the unit-diagonal form of the label submatrix, so which labels are
-    singular changes only with the kernel weights, and the surrogate is a
-    smooth function of theta.
-
-    The recorded ``objective_trace`` holds :func:`total_objective` after
-    every outer iteration.
+    Every pass, at the start and at each trial point, is one call of
+    :func:`dpplearn.batch.dataset_value_and_grad`, and a fit makes at most
+    3T + 1 passes for T = ``max_outer_iterations``; the fit stops with
+    reason "budget" when the next trial would exceed that.  It stops with
+    reason "tolerance", and ``converged`` True, after the first accepted
+    step whose objective changed by at most ``rel_tolerance`` relative
+    (see :class:`TrainConfig`), or at once when the gradient is zero.
+    ``objective_trace`` holds :func:`total_objective` at every accepted
+    iterate, so it never increases, or the starting value alone when no
+    step was accepted; ``iterations_used`` counts the accepted steps.
     """
     if not dataset:
         raise ParameterError("training dataset is empty")
@@ -325,55 +366,88 @@ def train(dataset, config, initial=None):
         )
 
     batches = _batch.stack_instances(dataset, config.similarity)
-    n_total = len(dataset)
     learn_weights = weights.size > 1
-    trace = []
-    converged = False
-    warned_singular = False
-    prev = None
-    t = 0
+    if learn_weights:
+        x = np.concatenate(
+            [theta, np.log(np.maximum(weights, np.finfo(float).tiny))])
+    else:
+        x = theta
+    budget = 3 * config.max_outer_iterations + 1
+    passes = 0
 
-    def evaluate(want_grad, iteration):
-        """Objective and the clipped average gradient of one block."""
-        nonlocal warned_singular
-        context = f" (training iteration {iteration})"
+    def split(x):
+        if learn_weights:
+            return x[:d_q], _softmax(x[d_q:])
+        return x, np.ones(1)
+
+    def evaluate(x):
+        """Objective, gradient in x and singular count of one pass."""
+        nonlocal passes
+        passes += 1
+        theta, weights = split(x)
         val, g_t, g_w, n_sing = _batch.dataset_value_and_grad(
             batches, theta, weights, config.lam, config.omega,
-            want_grad=want_grad, context=context,
+            context=f" (training pass {passes})",
         )
-        if n_sing and not warned_singular:
-            logger.warning(
-                "%d of %d training instances have numerically singular label "
-                "submatrices (unit-diagonal form below the relative "
-                "tolerance); using jittered objective surrogates and "
-                "margin-term gradients for them", n_sing, n_total,
-            )
-            warned_singular = True
-        g = g_t if want_grad == "theta" else g_w
-        return val, _clip(g / n_total, GRAD_CLIP)
-
-    # the theta gradient at the starting point, for the first step
-    _, g_t = evaluate("theta", 1)
-    for t in range(1, config.max_outer_iterations + 1):
-        step = STEP_SIZE / math.sqrt(t)
-        for k in range(ALTERNATION_BLOCK):
-            if k:
-                _, g_t = evaluate("theta", t)
-            theta = theta - step * g_t
         if learn_weights:
-            for _ in range(ALTERNATION_BLOCK):
-                _, g_w = evaluate("weights", t)
-                weights = project_to_simplex(weights - step * g_w)
-        # the objective at this iterate, where the next iteration's first
-        # theta step starts, so the same pass yields that step's gradient
-        obj, g_t = evaluate("theta", t)
-        trace.append(obj)
-        if prev is not None and abs(prev - obj) <= config.rel_tolerance * max(
-            1.0, abs(prev)
-        ):
-            converged = True
-            break
-        prev = obj
+            # d/du of F(softmax(u)) = w * (g_w - w . g_w)
+            return val, np.concatenate([g_t, weights * (g_w - weights @ g_w)]), n_sing
+        return val, g_t, n_sing
 
-    params = ModelParams(theta, project_to_simplex(weights))
-    return TrainResult(params, tuple(trace), converged, t)
+    f, g, n_sing = evaluate(x)
+    if n_sing:
+        logger.warning(
+            "%d of %d training instances have numerically singular label "
+            "submatrices (unit-diagonal form below the relative tolerance); "
+            "scoring them by their margin term alone", n_sing, len(dataset),
+        )
+    trace = []
+    pairs = []
+    reason = None
+    while reason is None:
+        gnorm = float(np.linalg.norm(g))
+        if gnorm == 0.0:
+            reason = "tolerance"
+            break
+        d = _lbfgs_direction(g, pairs)
+        slope = float(g @ d)
+        if not slope < 0.0:  # not a descent direction: restart from -g
+            pairs.clear()
+            d, slope = -g, -gnorm * gnorm
+        step = 1.0 if pairs else 1.0 / gnorm
+        accepted = None
+        for _ in range(MAX_HALVINGS + 1):
+            if passes >= budget:
+                reason = "budget"
+                break
+            x_new = x + step * d
+            try:
+                f_new, g_new, _ = evaluate(x_new)
+            except NumericalError:
+                f_new = math.nan
+            if math.isfinite(f_new) and f_new <= f + ARMIJO_C * step * slope:
+                accepted = x_new
+                break
+            step *= 0.5
+        if accepted is None:
+            if reason is None and pairs:
+                pairs.clear()  # retry along -g with a fresh memory
+                continue
+            reason = reason or "no_step"
+            break
+        s_k, y_k = accepted - x, g_new - g
+        sy = float(s_k @ y_k)
+        if sy > 0.0:
+            pairs.append((s_k, y_k, 1.0 / sy))
+            del pairs[:-LBFGS_MEMORY]
+        trace.append(f_new)
+        if abs(f - f_new) <= config.rel_tolerance * max(1.0, abs(f)):
+            reason = "tolerance"
+        x, f, g = accepted, f_new, g_new
+
+    steps = len(trace)
+    if not trace:
+        trace.append(f)
+    theta, weights = split(x)
+    return TrainResult(ModelParams(theta, weights), tuple(trace),
+                       reason == "tolerance", steps, reason)

@@ -16,7 +16,9 @@ must name a field of the config it sets; :func:`config_from_dict` rejects
 unknown keys and values of the wrong JSON kind by their dotted name.
 
 Training results are a single JSON document with the final parameters, a
-config echo, and the (iteration, objective) trace.
+config echo, ``converged``, ``iterations_used``, ``stop_reason`` (one of
+``learning.STOP_REASONS``; a document without it reads as "tolerance"
+when converged, else "budget") and the (iteration, objective) trace.
 """
 
 from __future__ import annotations
@@ -163,6 +165,7 @@ def write_train_result(path, result, config):
         "config": train_config_to_dict(config),
         "converged": result.converged,
         "iterations_used": result.iterations_used,
+        "stop_reason": result.stop_reason,
         "objective_trace": [
             [i + 1, v] for i, v in enumerate(result.objective_trace)
         ],
@@ -186,7 +189,8 @@ def read_train_result(path):
         )
         config = config_from_dict(TrainConfig(), doc["config"], "config.")
         trace = tuple(v for _, v in doc["objective_trace"])
-        result = TrainResult(params, trace, doc["converged"], doc["iterations_used"])
+        result = TrainResult(params, trace, doc["converged"], doc["iterations_used"],
+                             doc.get("stop_reason"))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad train-result document: {exc}") from exc
     return params, config, result

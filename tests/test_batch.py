@@ -12,6 +12,7 @@ from oracles import (
     kernel_reference,
     log_probability_reference,
     loglik_grad_reference,
+    loss_weighted_mass,
     map_exhaustive_reference,
     margin_grad_reference,
     resolvent_reference,
@@ -148,11 +149,17 @@ def test_singular_labels_counted_not_fatal(rng):
         batches, np.zeros(2), np.ones(1), 0.0, 1.0
     )
     assert n_sing == 1
-    assert np.isfinite(val) and val > 0
+    # an impossible label scores its margin term alone: 0 under maximum
+    # likelihood, and 2 log A at lam = 2
+    assert val == 0.0
     assert not g_t.any()  # likelihood gradient dropped under maximum likelihood
-    _, g_t2, _, _ = dataset_value_and_grad(
+    assert g_w is None  # one base kernel: its weight is pinned at 1
+    val2, g_t2, _, _ = dataset_value_and_grad(
         batches, np.zeros(2), np.ones(1), 2.0, 1.0
     )
+    L = kernel_reference(inst, ModelParams(np.zeros(2), np.ones(1)), sim)
+    assert val2 == pytest.approx(2.0 * np.log(loss_weighted_mass(L, (0, 1), 1.0)),
+                                 rel=1e-12)
     assert g_t2.any()  # margin-term gradient still flows when lam > 0
 
 
@@ -265,7 +272,7 @@ def test_zero_diagonal_label_is_singular():
         mask = np.zeros((1, 3), dtype=bool)
         mask[0, list(label)] = True
         logdet, singular, _ = label_terms(L.matrix[None], label_groups(mask))
-        assert singular[0] and np.isfinite(logdet[0])
+        assert singular[0] and logdet[0] == -np.inf
         assert log_probability(L, label) == -np.inf
         with pytest.raises(DegenerateLabelError):
             grad_loglik_wrt_L(L, label)
@@ -563,18 +570,15 @@ def test_kernel_without_cholesky_factor_names_the_instance():
         resolvent_stack(L, np.array([7, 8, 9]), " (training iteration 4)")
 
 
-def test_partial_gradients_are_the_full_gradient_blocks(rng, dataset):
+def test_value_does_not_depend_on_want_grad(rng, dataset):
     batches = stack_instances(dataset, RBF_SIM)
     theta = 0.4 * rng.standard_normal(3)
     weights = project_to_simplex(rng.random(3))
     full = dataset_value_and_grad(batches, theta, weights, 1.5, 2.0, True)
-    only_theta = dataset_value_and_grad(batches, theta, weights, 1.5, 2.0, "theta")
-    only_weights = dataset_value_and_grad(batches, theta, weights, 1.5, 2.0,
-                                          "weights")
     value = dataset_value_and_grad(batches, theta, weights, 1.5, 2.0, False)
-    assert full[0] == only_theta[0] == only_weights[0] == value[0]
-    assert np.array_equal(only_theta[1], full[1]) and only_theta[2] is None
-    assert np.array_equal(only_weights[2], full[2]) and only_weights[1] is None
+    assert full[0] == value[0] and full[3] == value[3]
+    assert full[1].shape == (3,) and full[2].shape == (3,)
+    assert value[1] is None and value[2] is None
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.5])
@@ -589,7 +593,7 @@ def test_closed_form_theta_gradient_matches_the_chain_rule(lam):
     config = TrainConfig(similarity=TRUE_SIMILARITY, lam=lam, omega=omega)
     batch = stack_instances(data, TRUE_SIMILARITY)[0]
     _, g_theta, g_weights, n_sing = hinge_terms(
-        batch, theta, np.ones(1), lam, omega, "theta")
+        batch, theta, np.ones(1), lam, omega, True)
     assert g_weights is None
 
     ref = np.zeros(3)
@@ -601,8 +605,11 @@ def test_closed_form_theta_gradient_matches_the_chain_rule(lam):
         if lam > 0:
             U += lam * margin_grad_reference(L, y, omega)
         if len(y) > 3:
+            # an impossible label scores its margin term alone
             singular += 1
-            assert instance_objective(params, inst, config) > 0
+            margin = lam * np.log(loss_weighted_mass(L, y, omega)) if lam else 0.0
+            assert instance_objective(params, inst, config) == pytest.approx(
+                margin, rel=1e-9)
         elif hinge_reference(L, y, lam, omega) > 0:
             U -= loglik_grad_reference(L, y)
         else:
@@ -630,23 +637,21 @@ def test_passes_factor_by_cholesky_alone(rng, monkeypatch):
     theta = 0.4 * rng.standard_normal(3)
     weights = project_to_simplex(rng.random(3))
     calls = _count_linalg(monkeypatch)
-    _, g_t, _, _ = dataset_value_and_grad(batches, theta, weights, 1.5, 2.0,
-                                          "theta")
+    _, g_t, g_w, _ = dataset_value_and_grad(batches, theta, weights, 1.5, 2.0)
     # the first pass certifies the base Grams by one factorization per
     # base kernel and batch and needs no eigenvalues; at a new weight
     # vector: one factorization of L + I and one of the padded labels per
-    # batch
+    # batch, whose factor also gives the label inverses
     assert calls == {"cholesky": (RBF_SIM.n_weights + 2) * len(batches),
                      "inv": 0, "eigh": 0, "eigvalsh": 0}
-    assert g_t.any()
+    assert g_t.any() and g_w.any()
 
-    for block in ("theta", "weights"):
-        calls.update(cholesky=0)
-        g = dataset_value_and_grad(batches, theta, weights, 1.5, 2.0, block)
-        # at the same weights the labels' factor is reused: only L + I
-        assert calls == {"cholesky": len(batches), "inv": 0, "eigh": 0,
-                         "eigvalsh": 0}
-        assert g[1 if block == "theta" else 2].any()
+    calls.update(cholesky=0)
+    again = dataset_value_and_grad(batches, theta, weights, 1.5, 2.0)
+    # at the same weights the labels' factor is reused: only L + I
+    assert calls == {"cholesky": len(batches), "inv": 0, "eigh": 0,
+                     "eigvalsh": 0}
+    assert np.array_equal(again[1], g_t) and np.array_equal(again[2], g_w)
 
 
 def test_label_inverse_without_cholesky_factor_names_the_instance():
@@ -669,8 +674,11 @@ def _label_spectra_rows(M, mask):
 
 def _assert_logdets_close(logdet, ref, rtol=1e-12):
     # relative to max(1, |log det|): a label of one unit-diagonal item has
-    # log det 0 up to rounding
-    assert np.all(np.abs(logdet - ref) <= rtol * np.maximum(1.0, np.abs(ref)))
+    # log det 0 up to rounding.  A singular label's is -inf on both sides.
+    assert np.array_equal(logdet == -np.inf, ref == -np.inf)
+    ok = ref > -np.inf
+    assert np.all(np.abs(logdet[ok] - ref[ok])
+                  <= rtol * np.maximum(1.0, np.abs(ref[ok])))
 
 
 def _count_label_spectra(monkeypatch):
@@ -791,8 +799,67 @@ def test_fig1c_weight_gradient_matches_its_own_value(lam):
     assert full[3] == 0
     report = finite_difference_check(value, lambda w: full[2], weights, step=1e-6)
     assert report.max_rel_error <= 1e-6
-    only_theta = dataset_value_and_grad(batches, theta, weights, lam, 1.0, "theta")
-    only_weights = dataset_value_and_grad(batches, theta, weights, lam, 1.0,
-                                          "weights")
-    assert np.array_equal(full[1], only_theta[1])
-    assert np.array_equal(full[2], only_weights[2])
+
+
+def _with_duplicate_label_items(instances):
+    """The instances with each label's second item given its first item's
+    similarity features, so that every label of two or more items is
+    singular under every kernel-weight vector."""
+    out = []
+    for inst in instances:
+        phi = np.array(inst.similarity_features)
+        if len(inst.label) > 1:
+            phi[inst.label[1]] = phi[inst.label[0]]
+        out.append(GroundSetInstance(inst.quality_features, phi, inst.label))
+    return out
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_gradient_is_the_derivative_of_its_value(lam):
+    # linear gen data: noisy labels past the feature rank are singular
+    ds = generate_dataset(SynthConfig(seed=0, n_train=80))
+    data = list(ds.train)
+    rng = np.random.default_rng(9)
+    theta = ds.true_theta + 0.3 * rng.standard_normal(ds.true_theta.size)
+    batches = stack_instances(data, TRUE_SIMILARITY)
+
+    def theta_value(t):
+        return dataset_value_and_grad(batches, t, np.ones(1), lam, 1.0, False)[0]
+
+    full = dataset_value_and_grad(batches, theta, np.ones(1), lam, 1.0, True)
+    assert 0 < full[3] < len(data)
+    report = finite_difference_check(theta_value, lambda t: full[1], theta,
+                                     step=1e-6)
+    assert report.max_rel_error <= 1e-6
+
+    # both blocks on a mixed bank, with a few labels singular at any weights
+    mixed = data[:60] + _with_duplicate_label_items(data[60:])
+    batches = stack_instances(mixed, RBF_SIM)
+    weights = np.array([0.25, 0.25, 0.5])
+    d = theta.size
+
+    def value(v):
+        return dataset_value_and_grad(batches, v[:d], v[d:], lam, 1.0, False)[0]
+
+    full = dataset_value_and_grad(batches, theta, weights, lam, 1.0, True)
+    assert 0 < full[3] < len(mixed)
+    report = finite_difference_check(
+        value, lambda v: np.concatenate(full[1:3]),
+        np.concatenate([theta, weights]), step=1e-6)
+    assert report.max_rel_error <= 1e-6
+
+
+def test_overflowing_qualities_raise_from_total_objective(rng):
+    data = [make_instance(rng, n=5, label_size=2) for _ in range(4)]
+    x = np.zeros((5, 3))
+    config = TrainConfig(similarity=RBF_SIM, lam=1.0)
+    params = ModelParams(np.array([1.0, 0.0, 0.0]), np.full(3, 1 / 3))
+    for top, overflows in ((170.0, False), (400.0, True)):
+        x[3, 0] = top
+        data[2] = GroundSetInstance(x, data[2].similarity_features, (0, 3))
+        if overflows:
+            with pytest.raises(NumericalError,
+                               match=r"instance 2 .*largest \|x \. theta\| is 400"):
+                total_objective(params, data, config)
+        else:
+            assert np.isfinite(total_objective(params, data, config))

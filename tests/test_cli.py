@@ -55,7 +55,9 @@ def test_gen_train_infer_eval_pipeline(tmp_path, gen_cfg, capsys):
     )
     fit_dir = tmp_path / "fit"
     assert cli_main(["train", "--config", train_cfg, "--out-dir", str(fit_dir)]) == EXIT_OK
-    assert (fit_dir / "train_result.json").exists()
+    doc = json.loads((fit_dir / "train_result.json").read_text())
+    assert doc["stop_reason"] in ("tolerance", "budget", "no_step")
+    assert f"stopped on {doc['stop_reason']}" in capsys.readouterr().out
 
     infer_cfg = write_cfg(
         tmp_path / "infer.cfg",

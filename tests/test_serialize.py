@@ -117,6 +117,7 @@ class TestTrainResultFiles:
             similarity=SimilarityConfig((0.5, 2.0), False), lam=1.5
         )
         result = TrainResult(params, (10.0, 5.0, 4.5), True, 3)
+        assert result.stop_reason == "tolerance"
         path = tmp_path / "result.json"
         serialize.write_train_result(path, result, config)
         got_params, got_config, got_result = serialize.read_train_result(path)
@@ -125,6 +126,32 @@ class TestTrainResultFiles:
         assert got_config == config
         assert got_result.objective_trace == result.objective_trace
         assert got_result.converged and got_result.iterations_used == 3
+        assert got_result.stop_reason == "tolerance"
+        for reason in ("budget", "no_step"):
+            serialize.write_train_result(
+                path, TrainResult(params, (1.0,), False, 0, reason), config)
+            assert json.loads(path.read_text())["stop_reason"] == reason
+            got_result = serialize.read_train_result(path)[2]
+            assert got_result.stop_reason == reason and not got_result.converged
+        # a document written before the reason was recorded reads as the
+        # reason its converged flag implies
+        doc = json.loads(path.read_text())
+        del doc["stop_reason"]
+        path.write_text(json.dumps(doc))
+        assert serialize.read_train_result(path)[2].stop_reason == "budget"
+
+    @pytest.mark.parametrize("converged, reason", [
+        (True, "budget"), (False, "tolerance"), (False, "diverged")])
+    def test_rejects_a_bad_stop_reason(self, tmp_path, converged, reason):
+        params = ModelParams(np.array([0.5, -1.0]), np.array([0.25, 0.75]))
+        path = tmp_path / "result.json"
+        serialize.write_train_result(
+            path, TrainResult(params, (1.0,), True, 1), TrainConfig())
+        doc = json.loads(path.read_text())
+        doc["converged"], doc["stop_reason"] = converged, reason
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match="stop reason"):
+            serialize.read_train_result(path)
 
     def test_every_config_field_roundtrips(self, tmp_path):
         config = TrainConfig(

@@ -9,15 +9,15 @@ from dpplearn import (
     TRUE_SIMILARITY,
     GroundSetInstance,
     ModelParams,
+    NumericalError,
     ParameterError,
     SimilarityConfig,
     TrainConfig,
-    project_to_simplex,
     total_objective,
     train,
 )
 from dpplearn import batch as batch_mod
-from dpplearn.learning import ALTERNATION_BLOCK, GRAD_CLIP, STEP_SIZE
+from dpplearn import learning
 
 
 def small_dataset(rng, n_instances=12):
@@ -56,7 +56,7 @@ class TestTrain:
 
     def test_total_objective_is_the_recorded_objective(self):
         # seed-0 synthetic training labels include singular ones, which the
-        # trainer records through its finite surrogate
+        # trainer scores by their margin term alone
         from dpplearn import SynthConfig, generate_dataset
 
         data = list(generate_dataset(SynthConfig(seed=0)).train)
@@ -143,98 +143,101 @@ class TestTrain:
 
 
 def record_passes(monkeypatch):
-    """Record (want_grad, theta, weights) of every pass train makes."""
+    """Record (theta, weights, value) of every pass train makes."""
     calls = []
     inner = batch_mod.dataset_value_and_grad
 
-    def recording(batches, theta, weights, *args, want_grad=True, **kwargs):
-        calls.append((want_grad, theta.copy(), weights.copy()))
-        return inner(batches, theta, weights, *args, want_grad=want_grad,
-                     **kwargs)
+    def recording(batches, theta, weights, *args, **kwargs):
+        out = inner(batches, theta, weights, *args, **kwargs)
+        calls.append((theta.copy(), weights.copy(), out[0]))
+        return out
 
     monkeypatch.setattr(batch_mod, "dataset_value_and_grad", recording)
     return calls
 
 
-def separate_passes_reference(data, config):
-    """The trainer's steps with a full-gradient pass for every step and an
-    objective-only pass for every iterate (2B + 1 passes per iteration)."""
-    batches = batch_mod.stack_instances(data, config.similarity)
-    theta = np.zeros(data[0].quality_features.shape[1])
-    weights = np.full(config.similarity.n_weights, 1.0 / config.similarity.n_weights)
-    trace = []
-
-    def grad(block):
-        _, g_t, g_w, _ = batch_mod.dataset_value_and_grad(
-            batches, theta, weights, config.lam, config.omega)
-        g = (g_t if block == "theta" else g_w) / len(data)
-        norm = float(np.linalg.norm(g))
-        return g * (GRAD_CLIP / norm) if norm > GRAD_CLIP else g
-
-    for t in range(1, config.max_outer_iterations + 1):
-        step = STEP_SIZE / np.sqrt(t)
-        for _ in range(ALTERNATION_BLOCK):
-            theta = theta - step * grad("theta")
-        for _ in range(ALTERNATION_BLOCK):
-            weights = project_to_simplex(weights - step * grad("weights"))
-        trace.append(batch_mod.dataset_value_and_grad(
-            batches, theta, weights, config.lam, config.omega, want_grad=False)[0])
-    return theta, project_to_simplex(weights), trace
-
-
 class TestPassSchedule:
-    @pytest.mark.parametrize("similarity, per_iteration", [
-        (RBF_SIM, ["theta", "theta", "weights", "weights", "weights", "theta"]),
-        (TRUE_SIMILARITY, ["theta", "theta", "theta"]),
-    ])
-    def test_passes_per_iteration(self, rng, monkeypatch, similarity,
-                                  per_iteration):
-        calls = record_passes(monkeypatch)
-        config = TrainConfig(similarity=similarity, lam=1.0,
-                             max_outer_iterations=4, rel_tolerance=1e-15)
-        result = train(small_dataset(rng), config)
-        T = result.iterations_used
-        assert T == 4
-        # 6T + 1 passes with the weight block on, 3T + 1 with one kernel
-        assert len(calls) == len(per_iteration) * T + 1
-        assert [c[0] for c in calls] == ["theta"] + per_iteration * T
+    @pytest.mark.parametrize("similarity", [RBF_SIM, TRUE_SIMILARITY])
+    def test_fit_makes_at_most_3T_plus_1_passes(self, rng, monkeypatch,
+                                                 similarity):
+        data = small_dataset(rng)
+        for T in (1, 2, 4, 40):
+            calls = record_passes(monkeypatch)
+            config = TrainConfig(similarity=similarity, lam=1.0,
+                                 max_outer_iterations=T, rel_tolerance=1e-15)
+            result = train(data, config)
+            assert 0 < result.iterations_used < len(calls) <= 3 * T + 1
+            # a spent budget is spent to the last pass it allows; the
+            # smallest ones run out before the tolerance is met
+            if T <= 2:
+                assert result.stop_reason == "budget"
+            if result.stop_reason == "budget":
+                assert len(calls) == 3 * T + 1 and not result.converged
+            # one kernel: every pass holds the weight at 1
+            if similarity.n_weights == 1:
+                assert all(np.array_equal(w, [1.0]) for _, w, _ in calls)
+            monkeypatch.undo()
 
     def test_trace_is_total_objective_at_each_iterate(self, rng, monkeypatch):
         calls = record_passes(monkeypatch)
         data = small_dataset(rng)
         config = TrainConfig(similarity=RBF_SIM, lam=1.0,
-                             max_outer_iterations=4, rel_tolerance=1e-15)
+                             max_outer_iterations=6, rel_tolerance=1e-15)
         result = train(data, config)
-        iterates = calls[6::6]
-        assert len(iterates) == len(result.objective_trace) == 4
-        for recorded, (_, theta, weights) in zip(result.objective_trace, iterates):
+        trace = result.objective_trace
+        assert len(trace) == result.iterations_used > 3
+        # the accepted iterates are the passes whose values the trace
+        # holds, in order; the others are rejected trial points
+        accepted = iter(calls[1:])
+        iterates = [next(c for c in accepted if c[2] == value) for value in trace]
+        for recorded, (theta, weights, _) in zip(trace, iterates):
             expected = total_objective(ModelParams(theta, weights), data, config)
             assert recorded == expected
+        assert np.array_equal(result.params.theta, iterates[-1][0])
+        assert np.array_equal(result.params.kernel_weights, iterates[-1][1])
+        assert calls[0][2] >= trace[0]
+        assert np.all(np.diff(trace) <= 0.0)
 
-    def test_reused_gradient_fits_what_separate_passes_fit(self, rng):
+    def test_failed_trial_points_end_in_no_step(self, rng, monkeypatch):
+        # every trial point raises, as one whose qualities overflow does:
+        # each fails the Armijo test, and the fit keeps its start
+        calls = record_passes(monkeypatch)
+        recording = batch_mod.dataset_value_and_grad
+
+        def failing(*args, **kwargs):
+            out = recording(*args, **kwargs)
+            if len(calls) > 1:
+                raise NumericalError("trial point")
+            return out
+
+        monkeypatch.setattr(batch_mod, "dataset_value_and_grad", failing)
         data = small_dataset(rng)
-        config = TrainConfig(similarity=RBF_SIM, lam=1.0,
-                             max_outer_iterations=5, rel_tolerance=1e-15)
-        result = train(data, config)
-        theta, weights, trace = separate_passes_reference(data, config)
-        assert np.array_equal(result.params.theta, theta)
-        assert np.array_equal(result.params.kernel_weights, weights)
-        assert list(result.objective_trace) == trace
+        config = TrainConfig(similarity=RBF_SIM, lam=1.0)
+        initial = ModelParams(np.zeros(3), np.full(3, 1 / 3))
+        result = train(data, config, initial=initial)
+        assert result.stop_reason == "no_step" and not result.converged
+        assert result.iterations_used == 0
+        assert np.array_equal(result.params.theta, initial.theta)
+        # the first direction is -g, so no memory to clear: one line search
+        assert len(calls) == 1 + learning.MAX_HALVINGS + 1
+        steps = [np.linalg.norm(t) for t, _, _ in calls[1:]]
+        assert np.allclose(np.array(steps[1:]) / steps[:-1], 0.5)
+        monkeypatch.undo()
+        assert result.objective_trace == (total_objective(initial, data, config),)
 
 
 def count_label_factorizations(monkeypatch):
-    """Count the factorizations of label stacks: every label_terms call,
-    and every label_inverse call that factors the labels anew."""
-    calls = []
+    """Count the label_terms calls, which factor a batch's labels, and the
+    label_inverse calls with and without a factor to reuse."""
+    calls = {"terms": 0, "inverse_from_factor": 0, "inverse_anew": 0}
     terms, inverse = batch_mod.label_terms, batch_mod.label_inverse
 
     def counted_terms(M, *args, **kwargs):
-        calls.append(np.shape(M))
+        calls["terms"] += 1
         return terms(M, *args, **kwargs)
 
     def counted_inverse(M, mask, singular, factor=None, *args, **kwargs):
-        if factor is None:
-            calls.append(np.shape(M))
+        calls["inverse_anew" if factor is None else "inverse_from_factor"] += 1
         return inverse(M, mask, singular, factor, *args, **kwargs)
 
     monkeypatch.setattr(batch_mod, "label_terms", counted_terms)
@@ -244,49 +247,37 @@ def count_label_factorizations(monkeypatch):
 
 class TestLabelSpectraPerWeightVector:
     @staticmethod
-    def fit(rng, monkeypatch, similarity, iterations):
-        """Train on two item counts; return the passes, the label
-        factorizations made in each pass and the number of batches."""
+    def fit(rng, monkeypatch, similarity):
+        """Train on two item counts; return the passes, the label work and
+        the number of batches."""
         data = [make_instance(rng, n=n, label_size=int(rng.integers(1, 5)))
                 for n in (5, 6, 5, 6, 6, 5, 6, 5)]
         config = TrainConfig(similarity=similarity, lam=1.0,
-                             max_outer_iterations=iterations, rel_tolerance=1e-15)
+                             max_outer_iterations=4, rel_tolerance=1e-15)
         n_batches = len(batch_mod.stack_instances(data, similarity))
+        assert n_batches == 2
         passes = record_passes(monkeypatch)
         calls = count_label_factorizations(monkeypatch)
-        per_pass = []
-        recorded = batch_mod.dataset_value_and_grad
-
-        def counting(*args, **kwargs):
-            before = len(calls)
-            out = recorded(*args, **kwargs)
-            per_pass.append(len(calls) - before)
-            return out
-
-        monkeypatch.setattr(batch_mod, "dataset_value_and_grad", counting)
-        assert train(data, config).iterations_used == iterations
-        return passes, per_pass, n_batches
+        train(data, config)
+        return passes, calls, n_batches
 
     def test_theta_only_fit_takes_label_spectra_once(self, rng, monkeypatch):
-        passes, per_pass, n_batches = self.fit(rng, monkeypatch,
-                                               TRUE_SIMILARITY, 6)
-        assert len(passes) == 3 * 6 + 1
-        assert sum(per_pass) == n_batches
+        passes, calls, n_batches = self.fit(rng, monkeypatch, TRUE_SIMILARITY)
+        assert len(passes) > 1
+        assert calls == {"terms": n_batches, "inverse_from_factor": 0,
+                         "inverse_anew": 0}
 
     def test_weights_fit_takes_them_once_per_new_weight_vector(
             self, rng, monkeypatch):
-        passes, per_pass, n_batches = self.fit(rng, monkeypatch, RBF_SIM, 4)
-        assert len(passes) == 6 * 4 + 1
-        weights = [w.tobytes() for _, _, w in passes]
+        passes, calls, n_batches = self.fit(rng, monkeypatch, RBF_SIM)
+        weights = [w.tobytes() for _, w, _ in passes]
         new = 1 + sum(a != b for a, b in zip(weights, weights[1:]))
-        assert new == 1 + 3 * 4  # three weight steps per iteration
-        assert sum(per_pass) == new * n_batches
-        # each iteration's first weights pass is at the weights of the
-        # recording pass before it, and reuses that pass's factor
-        first = [1 + 6 * t + 2 for t in range(4)]
-        assert [passes[i][0] for i in first] == ["weights"] * 4
-        assert all(weights[i] == weights[i - 1] for i in first)
-        assert [per_pass[i] for i in first] == [0] * 4
+        assert new > 1
+        # every pass wants the weight gradient, and builds the label
+        # inverses from the factor its label terms kept
+        assert calls == {"terms": new * n_batches,
+                         "inverse_from_factor": len(passes) * n_batches,
+                         "inverse_anew": 0}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -296,5 +287,5 @@ def test_converges_on_synthetic_data(seed):
     data = list(generate_dataset(SynthConfig(seed=seed, n_train=200)).train)
     config = TrainConfig(lam=1.0, rel_tolerance=1e-9)
     result = train(data, config)
-    assert result.converged
+    assert result.converged and result.stop_reason == "tolerance"
     assert result.iterations_used < config.max_outer_iterations
