@@ -14,8 +14,10 @@ singular-label rule are those of the per-instance kernel API:
 :func:`dpplearn.kernel.similarity_stack` with ``kernel_stack``,
 ``clamp_psd_stack`` and ``label_spectra``.
 
-A training pass makes one batched Cholesky factorization of L + I and no
-LU or eigenvector work.  The normalizer log det(L + I) and the resolvent
+Every Cholesky factorization here is one LAPACK call over a whole stack
+that flags the rows without a factor and never raises
+(:func:`cholesky_stack`).  A training pass factors L + I once and does
+no LU or eigenvector work.  The normalizer log det(L + I) and the resolvent
 (L + I)^{-1} = X^T X, X the inverse of the Cholesky factor found by
 batched forward substitution, come from that one factorization.  That is
 sound because L + I is positive definite whenever L is PSD, and
@@ -36,12 +38,14 @@ and its label terms for the last weight vector it saw
 (:class:`SimilarityTerms`): a theta-only fit computes them once, a joint
 fit once per new weight vector.  One Cholesky factorization of the
 labels' unit-diagonal forms, padded to N x N, decides most labels
-(:func:`label_terms`).  Its inverse gives tr(R^{-1}), and
+(:func:`label_terms`).  A label whose form has no factor is singular.
+The factor's inverse gives tr(R^{-1}), and
 lambda_min(R) >= 1 / tr(R^{-1}) while lambda_max(R) <= k for a label of
 k items, so a label with tr(R^{-1}) k ``LABEL_SINGULAR_RTOL`` < 1/2 is
 nonsingular by a factor of two, and its log-determinant comes from the
-factor's diagonal.  The bound is one-sided: every other label goes
-through ``label_spectra``.  A singular label, one of probability zero,
+factor's diagonal.  The bound is one-sided: a label with a factor but no
+certificate goes through ``label_spectra``.  Every label keeps its row of
+the factor.  A singular label, one of probability zero,
 is scored by its margin term alone.  The objective is then a smooth
 function of theta, and its gradient is the derivative of its value.
 The theta gradient is in closed form and needs no label inverse.  The
@@ -69,8 +73,9 @@ from itertools import compress
 from math import comb
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .errors import NotPositiveSemidefiniteError, NumericalError, ParameterError
+from .errors import NotPositiveSemidefiniteError, ParameterError
 from .kernel import (
     EIG_CLAMP_TOL,
     LABEL_SINGULAR_RTOL,
@@ -180,7 +185,7 @@ def check_grams(batch, context=""):
         return
     k, n, N, _ = batch.grams.shape
     shift = 0.5 * EIG_CLAMP_TOL * np.eye(N)
-    if not all(_has_cholesky(G + shift) for G in batch.grams):
+    if any(cholesky_stack(G + shift)[1].any() for G in batch.grams):
         evals = np.linalg.eigvalsh(np.swapaxes(batch.grams, 0, 1)).reshape(n * k, N)
         clamp_psd_stack(evals, np.repeat(batch.indices, k),
                         f" in a base Gram matrix{context}")
@@ -195,36 +200,36 @@ def resolvent_stack(L, indices=None, context=""):
     resolvent as X^T X with X = C^{-1} (:func:`_inverse_factor`).
     When some L + I has no Cholesky factor, raises
     NotPositiveSemidefiniteError naming the first such kernel by its
-    entry in ``indices``.
+    entry in ``indices`` (its row when ``indices`` is None).
     """
-    C = _cholesky(L + np.eye(L.shape[-1]), indices, NotPositiveSemidefiniteError,
-                  f"has no Cholesky factor of L + I{context}: it is not "
-                  "positive semidefinite")
+    C, failed = cholesky_stack(L + np.eye(L.shape[-1]))
+    if failed.any():
+        row = int(np.argmax(failed))
+        name = f"row {row}" if indices is None else f"instance {int(indices[row])}"
+        raise NotPositiveSemidefiniteError(
+            f"kernel for {name} has no Cholesky factor of L + I{context}: it is "
+            "not positive semidefinite")
     logdet = 2.0 * np.sum(np.log(np.diagonal(C, axis1=1, axis2=2)), axis=1)
     X = _inverse_factor(C)
     return logdet, np.swapaxes(X, -1, -2) @ X
 
 
-def _cholesky(B, indices, error, reason):
-    """Batched Cholesky factors of the (n, N, N) stack B.
+def cholesky_stack(B):
+    """Lower Cholesky factors of a (n, N, N) stack in one LAPACK call, and
+    a flag per row that has none.  Never raises.
 
-    When some matrix has none, raises ``error`` naming the first such one
-    by its entry in ``indices`` (its row when ``indices`` is None).
+    ``numpy.linalg.cholesky`` raises for the whole stack when one matrix
+    has no factor.  The gufunc it calls fills each such matrix with NaN
+    and returns every other factor as ``numpy.linalg.cholesky`` would, bit
+    for bit.  Returns ``(C, failed)``; a flagged row of C holds the
+    identity, its own factor, so that every row can be inverted.
     """
-    try:
-        return np.linalg.cholesky(B)
-    except np.linalg.LinAlgError:
-        row = next(r for r, M in enumerate(B) if not _has_cholesky(M))
-        name = f"row {row}" if indices is None else f"instance {int(indices[row])}"
-        raise error(f"kernel for {name} {reason}") from None
-
-
-def _has_cholesky(M):
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    with np.errstate(invalid="ignore"):
+        C = _umath_linalg.cholesky_lo(B, signature="d->d")
+    # a factor has a positive diagonal; a failed one is NaN throughout
+    failed = ~np.all(np.diagonal(C, axis1=1, axis2=2) > 0, axis=1)
+    C[failed] = np.eye(B.shape[-1])
+    return C, failed
 
 
 def _inverse_factor(C):
@@ -272,15 +277,19 @@ def label_terms(M, size_groups):
 
     One batched Cholesky factorization C C^T = P of the labels' padded
     unit-diagonal forms (:func:`_unit_diagonal_forms`) decides most rows.
+    A row with a diagonal entry <= 0 on its label, or whose P has no
+    factor, is singular: a computed factorization fails only when
+    lambda_min(R) is at rounding level, far below ``LABEL_SINGULAR_RTOL``
+    lambda_max(R) (a label larger than the rank of a linear kernel, say).
     With X = C^{-1}, tr(R^{-1}) is the squared norm of X on the label, and
     for a k-item label R, lambda_min(R) >= 1 / tr(R^{-1}) and
     lambda_max(R) <= k.  A row with tr(R^{-1}) k ``LABEL_SINGULAR_RTOL``
     < 1/2 is therefore nonsingular with a factor of two to spare, and its
-    log det is sum_i log M_ii + 2 sum_i log C_ii.  Every other row goes
-    through ``label_spectra``, one call per label size, and so do all rows
-    when some P has no Cholesky factor (a label larger than the rank of a
-    linear kernel, say).  ``factor`` is ``(scale, X)``, what
-    :func:`label_inverse` needs, or None when there is no factor.
+    log det is sum_i log M_ii + 2 sum_i log C_ii.  Only the rows left,
+    which have a factor but no certificate, go through ``label_spectra``,
+    one call per label size.  ``factor`` is ``(scale, X)``, what
+    :func:`label_inverse` needs; X is the identity on a row without a
+    factor (:func:`cholesky_stack`).
     """
     n, N = M.shape[:2]
     mask = np.zeros((n, N), dtype=bool)
@@ -289,49 +298,34 @@ def label_terms(M, size_groups):
     d = np.diagonal(M, axis1=1, axis2=2)
     positive = np.all(d > 0, axis=1, where=mask)
     keep = mask & positive[:, None]
-    logdet_y = np.zeros(n)
-    singular = np.zeros(n, dtype=bool)
-    certified = np.zeros(n, dtype=bool)
     scale, P = _unit_diagonal_forms(M, keep)
-    try:
-        C = np.linalg.cholesky(P)
-    except np.linalg.LinAlgError:
-        factor = None
-    else:
-        X = _inverse_factor(C)
-        factor = scale, X
-        tr = np.sum(np.einsum("nij,nij->ni", X, X), axis=1, where=keep)
-        k = np.count_nonzero(keep, axis=1)
-        certified = positive & (tr * k * LABEL_SINGULAR_RTOL < 0.5)
-        logdet_y = np.sum(np.log(np.where(keep, d, 1.0)), axis=1) + 2.0 * np.sum(
-            np.log(np.diagonal(C, axis1=1, axis2=2)), axis=1)
+    C, failed = cholesky_stack(P)
+    X = _inverse_factor(C)
+    singular = failed | ~positive
+    tr = np.sum(np.einsum("nij,nij->ni", X, X), axis=1, where=keep)
+    k = np.count_nonzero(keep, axis=1)
+    certified = ~singular & (tr * k * LABEL_SINGULAR_RTOL < 0.5)
+    logdet_y = np.sum(np.log(np.where(keep, d, 1.0)), axis=1) + 2.0 * np.sum(
+        np.log(np.diagonal(C, axis1=1, axis2=2)), axis=1)
+    logdet_y[singular] = -np.inf
     for _, rows, labs in size_groups:
-        todo = ~certified[rows]
+        todo = ~(certified | singular)[rows]
         if np.any(todo):
             rows, labs = rows[todo], labs[todo]
             sub = M[rows[:, None, None], labs[:, :, None], labs[:, None, :]]
             logdet_y[rows], singular[rows] = label_spectra(sub)
-    return logdet_y, singular, factor
+    return logdet_y, singular, (scale, X)
 
 
-def label_inverse(M, mask, singular, factor=None, indices=None, context=""):
+def label_inverse(factor, keep):
     """The label inverses (M_y)^{-1}, zero-padded to N x N, per row of a
-    (n, N, N) stack; zero on rows flagged ``singular``.
+    (n, N, N) stack, from the ``factor`` that :func:`label_terms` returns
+    for M: M_y^{-1} = scale R^{-1} scale with R^{-1} = X^T X.
 
-    They come from ``factor``, the one :func:`label_terms` returns for M,
-    as M_y^{-1} = scale R^{-1} scale with R^{-1} = X^T X.  Without it, one
-    Cholesky factorization of the nonsingular labels' padded unit-diagonal
-    forms gives them; a form without a factor raises NumericalError
-    naming the instance by its entry in ``indices``.
+    ``keep`` (n, N) marks the label items of the rows wanted, the
+    nonsingular ones; a row without any is zero.
     """
-    keep = mask & ~singular[:, None]
-    if factor is None:
-        scale, P = _unit_diagonal_forms(M, keep)
-        X = _inverse_factor(_cholesky(
-            P, indices, NumericalError,
-            f"has a label submatrix without a Cholesky factor{context}"))
-    else:
-        scale, X = factor
+    scale, X = factor
     # X is zero between the label and the items off it, where it has unit
     # rows; zeroing its columns off ``keep`` zeroes the product there
     Y = X * (scale * keep)[:, None, :]
@@ -403,7 +397,8 @@ class SimilarityTerms:
     ``S`` is the batch's :func:`~dpplearn.kernel.similarity_stack` at the
     weights whose bytes are ``key``; ``logdet``, ``singular`` and
     ``factor`` are the read-only log det S_y, flags and label factor of
-    :func:`label_terms`, from which :func:`label_inverse` builds S_y^{-1}.
+    :func:`label_terms`.  The factor has a row for every label, and
+    :func:`label_inverse` builds S_y^{-1} from it on the nonsingular ones.
     """
 
     __slots__ = ("key", "S", "logdet", "singular", "factor")
@@ -458,7 +453,7 @@ def hinge_terms(batch, theta, weights, lam, omega, want_grad=True, context=""):
     (left out on singular rows) and M = :func:`margin_grad`, over the
     active rows; the label part needs no qualities, since
     q_i q_j (L_y^{-1})_ij = (S_y^{-1})_ij, and S_y^{-1} comes from the
-    factor the label terms kept.
+    factor the label terms kept, zero on the singular rows.
     """
     check_grams(batch, context)
     terms = similarity_label_terms(batch, weights)
@@ -496,8 +491,8 @@ def hinge_terms(batch, theta, weights, lam, omega, want_grad=True, context=""):
         if lam > 0:
             U += margin_grad(invB, mask, omega, A, lam)
         V = kernel_stack(q[rows], U)
-        V -= label_inverse(terms.S, batch.mask, terms.singular, terms.factor,
-                           batch.indices, context)[rows]
+        keep = batch.mask & ~terms.singular[:, None]
+        V -= label_inverse(terms.factor, keep)[rows]
         if rows is act:
             V_all = np.zeros_like(L)
             V_all[act] = V

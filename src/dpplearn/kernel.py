@@ -179,7 +179,8 @@ class EnsembleKernel:
 
     Construct via :func:`assemble_L` or :meth:`from_matrix`.  The spectrum
     passes the trainer's PSD rule, :func:`clamp_psd_stack`, which clamps
-    rounding noise to zero.  Instances are immutable.
+    rounding noise to zero; a matrix with a non-finite entry raises
+    NumericalError naming the entries.  Instances are immutable.
     """
 
     __slots__ = ("matrix", "eigenvalues", "eigenvectors")
@@ -194,11 +195,17 @@ class EnsembleKernel:
         L = np.asarray(L, dtype=float)
         if L.ndim != 2 or L.shape[0] != L.shape[1]:
             raise ParameterError(f"kernel must be square, got shape {L.shape}")
+        if not np.isfinite(L).all():
+            bad = np.argwhere(~np.isfinite(L))
+            entries = ", ".join(str(tuple(ij)) for ij in bad[:4].tolist())
+            more = ", ..." if len(bad) > 4 else ""
+            raise NumericalError(
+                f"kernel matrix has non-finite entries at {entries}{more}")
         tol = SYMMETRY_TOL * max(1.0, float(np.max(np.abs(L))) if L.size else 1.0)
         if L.size and np.max(np.abs(L - L.T)) > tol:
             raise ParameterError("kernel matrix is not symmetric")
         evals, evecs = np.linalg.eigh(L)
-        return cls(L, clamp_psd_eigenvalues(evals), evecs)
+        return cls(L, clamp_psd_stack(evals[None])[0], evecs)
 
     @property
     def n_items(self):
@@ -246,11 +253,6 @@ def clamp_psd_stack(evals, indices=None, context="", tol=EIG_CLAMP_TOL):
             f"kernel{name} has eigenvalue {lowest[row]:.3e} below tolerance "
             f"{floor[row]:.3e}{context}: it is not positive semidefinite")
     return np.maximum(evals, 0.0)
-
-
-def clamp_psd_eigenvalues(evals, tol=EIG_CLAMP_TOL):
-    """:func:`clamp_psd_stack` for the spectrum of a single kernel."""
-    return clamp_psd_stack(np.asarray(evals, dtype=float)[None], tol=tol)[0]
 
 
 def base_similarity_stack(instance, config):

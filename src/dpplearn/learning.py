@@ -201,7 +201,7 @@ def grad_loglik_wrt_L(L, y_star):
             "singular"
         )
     _, invB = _batch.resolvent_stack(L_stack)
-    return _batch.label_inverse(L_stack, mask, singular, factor)[0] - invB[0]
+    return _batch.label_inverse(factor, mask)[0] - invB[0]
 
 
 def grad_margin_wrt_L(L, K, y_star, omega=1.0):

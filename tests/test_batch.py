@@ -39,6 +39,7 @@ from dpplearn import (
 from dpplearn import batch as batch_mod
 from dpplearn.batch import (
     build_L_stack,
+    cholesky_stack,
     dataset_value_and_grad,
     hinge_terms,
     label_groups,
@@ -631,35 +632,58 @@ def _count_linalg(monkeypatch):
     return calls
 
 
+def _count_cholesky_stack(monkeypatch):
+    """Count the calls to batch.cholesky_stack."""
+    calls = []
+
+    def counted(B):
+        calls.append(len(B))
+        return cholesky_stack(B)
+
+    monkeypatch.setattr(batch_mod, "cholesky_stack", counted)
+    return calls
+
+
 def test_passes_factor_by_cholesky_alone(rng, monkeypatch):
     data = [make_instance(rng, n=n) for n in (5, 6, 5, 6, 6, 5)]
     batches = stack_instances(data, RBF_SIM)
     theta = 0.4 * rng.standard_normal(3)
     weights = project_to_simplex(rng.random(3))
     calls = _count_linalg(monkeypatch)
+    factorizations = _count_cholesky_stack(monkeypatch)
     _, g_t, g_w, _ = dataset_value_and_grad(batches, theta, weights, 1.5, 2.0)
     # the first pass certifies the base Grams by one factorization per
     # base kernel and batch and needs no eigenvalues; at a new weight
     # vector: one factorization of L + I and one of the padded labels per
     # batch, whose factor also gives the label inverses
-    assert calls == {"cholesky": (RBF_SIM.n_weights + 2) * len(batches),
-                     "inv": 0, "eigh": 0, "eigvalsh": 0}
+    assert len(factorizations) == (RBF_SIM.n_weights + 2) * len(batches)
+    assert calls == {"cholesky": 0, "inv": 0, "eigh": 0, "eigvalsh": 0}
     assert g_t.any() and g_w.any()
 
-    calls.update(cholesky=0)
+    factorizations.clear()
     again = dataset_value_and_grad(batches, theta, weights, 1.5, 2.0)
     # at the same weights the labels' factor is reused: only L + I
-    assert calls == {"cholesky": len(batches), "inv": 0, "eigh": 0,
-                     "eigvalsh": 0}
+    assert len(factorizations) == len(batches)
+    assert calls == {"cholesky": 0, "inv": 0, "eigh": 0, "eigvalsh": 0}
     assert np.array_equal(again[1], g_t) and np.array_equal(again[2], g_w)
 
 
-def test_label_inverse_without_cholesky_factor_names_the_instance():
-    L = np.stack([np.eye(3), np.diag([1.0, -1.0, 1.0])])
-    mask = np.array([[True, True, False], [True, True, False]])
-    with pytest.raises(NumericalError, match="instance 5 .*iteration 2"):
-        batch_mod.label_inverse(L, mask, np.zeros(2, dtype=bool), None,
-                                np.array([4, 5]), " (training iteration 2)")
+def test_cholesky_stack_flags_rows_without_a_factor(rng):
+    # the installed numpy's gufunc must fill a matrix without a factor
+    # with NaN and give every other factor as numpy.linalg.cholesky does
+    A = rng.standard_normal((6, 5, 5))
+    B = A @ np.swapaxes(A, 1, 2) + 0.1 * np.eye(5)
+    B[1] = np.diag([1.0, 2.0, -1.0, 3.0, 1.0])  # indefinite
+    v = rng.standard_normal(5)
+    B[4] = np.outer(v, v)  # singular: rank one
+    C, failed = cholesky_stack(B)
+    assert failed.tolist() == [False, True, False, False, True, False]
+    ok = ~failed
+    assert np.array_equal(C[ok], np.linalg.cholesky(B[ok]))
+    assert np.array_equal(C[failed], np.broadcast_to(np.eye(5), (2, 5, 5)))
+    for row in np.nonzero(failed)[0]:
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(B[row])
 
 
 def _label_spectra_rows(M, mask):
@@ -682,11 +706,12 @@ def _assert_logdets_close(logdet, ref, rtol=1e-12):
 
 
 def _count_label_spectra(monkeypatch):
-    """Count the labels that label_terms passes to label_spectra."""
+    """Record the label submatrices that label_terms passes to
+    label_spectra, one list entry per label."""
     rows = []
 
     def counted(sub):
-        rows.append(len(sub))
+        rows.extend(sub)
         return label_spectra(sub)
 
     monkeypatch.setattr(batch_mod, "label_spectra", counted)
@@ -744,7 +769,7 @@ class TestLabelCertificate:
         # up to c = 2 the bound cannot certify a label, so label_spectra
         # scores every row; far above, it certifies every one
         if c <= 2.0:
-            assert sum(spectra) == len(M)
+            assert len(spectra) == len(M)
         if c >= 1e4:
             assert spectra == []
         # a certified label with lambda_min ~ 1e-7 carries a rounding error
@@ -754,18 +779,22 @@ class TestLabelCertificate:
         _assert_logdets_close(logdet, ref_logdet, 1e-10 if c == 10.0 else 1e-12)
 
     def test_stack_with_a_label_beyond_the_linear_rank(self, rng, monkeypatch):
-        # the 3-item label of a rank-2 linear Gram has no Cholesky factor,
-        # so the whole stack goes through label_spectra
+        # the 3-item label of a rank-2 linear Gram has no Cholesky factor:
+        # it is singular without label_spectra, and every other row keeps
+        # its factor
         data = [make_instance(rng, n=5, d_s=2, label_size=2) for _ in range(7)]
         data.append(make_instance(rng, n=5, d_s=2, label_size=3))
         batch = stack_instances(data, TRUE_SIMILARITY)[0]
         S = similarity_stack(batch.grams, np.ones(1))
         spectra = _count_label_spectra(monkeypatch)
-        logdet, singular, factor = label_terms(S, batch.size_groups)
+        logdet, singular, (scale, X) = label_terms(S, batch.size_groups)
         ref_logdet, ref_singular = _label_spectra_rows(S, batch.mask)
-        assert factor is None and sum(spectra) == len(data)
         assert np.array_equal(singular, ref_singular) and singular[-1]
+        assert np.count_nonzero(singular) == 1
         _assert_logdets_close(logdet, ref_logdet)
+        assert X.shape == S.shape and np.all(np.isfinite(X))
+        beyond = S[-1][np.ix_(batch.mask[-1], batch.mask[-1])]
+        assert not any(np.array_equal(sub, beyond) for sub in spectra)
 
     def test_zero_diagonal_label(self, rng, monkeypatch):
         data = [make_instance(rng, n=5, label_size=3) for _ in range(6)]
@@ -776,12 +805,40 @@ class TestLabelCertificate:
         spectra = _count_label_spectra(monkeypatch)
         logdet, singular, factor = label_terms(S, batch.size_groups)
         ref_logdet, ref_singular = _label_spectra_rows(S, batch.mask)
-        # the zero-diagonal row is left out of the factorization, and only
-        # it goes through label_spectra
-        assert factor is not None and spectra == [1]
+        # the zero-diagonal row is left out of the factorization and is
+        # singular without label_spectra
+        assert factor is not None and spectra == []
         assert np.array_equal(singular, ref_singular)
         assert singular[2] and np.count_nonzero(singular) == 1
         _assert_logdets_close(logdet, ref_logdet)
+
+    def test_gen_labels_beyond_the_linear_rank(self, monkeypatch):
+        # seed-1 linear training data: label noise takes some labels past
+        # the feature rank, and those have no factor
+        data = list(generate_dataset(SynthConfig(seed=1)).train)
+        batch = stack_instances(data, TRUE_SIMILARITY)[0]
+        S = similarity_stack(batch.grams, np.ones(1))
+        spectra = _count_label_spectra(monkeypatch)
+        flags = []
+
+        def recorded(B):
+            C, failed = cholesky_stack(B)
+            flags.append(failed)
+            return C, failed
+
+        monkeypatch.setattr(batch_mod, "cholesky_stack", recorded)
+        logdet, singular, _ = label_terms(S, batch.size_groups)
+        ref_logdet, ref_singular = _label_spectra_rows(S, batch.mask)
+        assert np.array_equal(singular, ref_singular)
+        assert 0 < np.count_nonzero(singular) < len(data)
+        _assert_logdets_close(logdet, ref_logdet)
+        # label_spectra sees a few labels that the bound cannot certify,
+        # and none of those without a factor
+        (failed,) = flags
+        assert 0 < len(spectra) < np.count_nonzero(~failed)
+        without = [S[r][np.ix_(batch.mask[r], batch.mask[r])]
+                   for r in np.nonzero(failed)[0]]
+        assert not any(np.array_equal(sub, w) for sub in spectra for w in without)
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])

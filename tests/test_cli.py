@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import dpplearn
-from dpplearn.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, cli_main
+from dpplearn.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, cli_main
 
 
 def write_cfg(path, text):
@@ -78,6 +78,38 @@ def test_gen_train_infer_eval_pipeline(tmp_path, gen_cfg, capsys):
     summary = json.loads((score_dir / "scores_summary.json").read_text())
     assert 0.0 <= summary["fscore"] <= 1.0
     assert summary["n"] == 8
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "mbr"])
+def test_infer_with_overflowing_qualities_is_numerical_error(tmp_path, gen_cfg,
+                                                             capsys, mode):
+    data_dir = tmp_path / "data"
+    assert cli_main(["gen", "--config", gen_cfg, "--out-dir", str(data_dir)]) == EXIT_OK
+    train_cfg = write_cfg(
+        tmp_path / "train.cfg",
+        f'dataset = "{data_dir}/train.jsonl"\n'
+        "train.max_outer_iterations = 4\n"
+        "train.similarity.bandwidths = []\n",
+    )
+    fit_dir = tmp_path / "fit"
+    assert cli_main(["train", "--config", train_cfg, "--out-dir", str(fit_dir)]) == EXIT_OK
+    model = fit_dir / "train_result.json"
+    doc = json.loads(model.read_text())
+    doc["params"]["theta"] = [200.0 * t for t in doc["params"]["theta"]]
+    model.write_text(json.dumps(doc))
+    infer_cfg = write_cfg(
+        tmp_path / "infer.cfg",
+        f'dataset = "{data_dir}/test.jsonl"\n'
+        f'model = "{model}"\n'
+        f'inference.mode = "{mode}"\n'
+        "inference.mbr_samples = 50\n",
+    )
+    capsys.readouterr()
+    code = cli_main(["infer", "--config", infer_cfg,
+                     "--out-dir", str(tmp_path / "pred")])
+    assert code == EXIT_NUMERICAL
+    assert "overflow" in capsys.readouterr().err
+    assert not (tmp_path / "pred" / "predictions.jsonl").exists()
 
 
 def test_experiment_rerun_byte_identical(tmp_path):

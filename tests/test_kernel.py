@@ -11,6 +11,7 @@ from dpplearn import (
     GroundSetInstance,
     ModelParams,
     NotPositiveSemidefiniteError,
+    NumericalError,
     ParameterError,
     SimilarityConfig,
     as_subset,
@@ -297,6 +298,21 @@ def test_eigenvalue_error_scales_with_spectrum():
     L = base(evals)
     kernel = EnsembleKernel.from_matrix(L)
     assert kernel.eigenvalues.min() == 0.0
+
+
+@pytest.mark.parametrize("entries, value, named", [
+    ([(0, 1), (1, 0)], np.nan, r"entries at \(0, 1\), \(1, 0\)$"),
+    ([(2, 2)], np.inf, r"entries at \(2, 2\)$"),
+    ([(0, 0), (1, 1), (2, 2), (0, 2), (2, 0)], -np.inf,
+     r"entries at \(0, 0\), \(0, 2\), \(1, 1\), \(2, 0\), \.\.\.$"),
+], ids=["nan", "inf-diagonal", "many"])
+def test_from_matrix_rejects_non_finite_entries(entries, value, named):
+    # eigh of such a matrix gives nan eigenvalues, which no PSD test catches
+    L = np.eye(3)
+    for ij in entries:
+        L[ij] = value
+    with pytest.raises(NumericalError, match=named):
+        EnsembleKernel.from_matrix(L)
 
 
 def random_psd_factory():

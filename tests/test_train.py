@@ -228,17 +228,17 @@ class TestPassSchedule:
 
 def count_label_factorizations(monkeypatch):
     """Count the label_terms calls, which factor a batch's labels, and the
-    label_inverse calls with and without a factor to reuse."""
-    calls = {"terms": 0, "inverse_from_factor": 0, "inverse_anew": 0}
+    label_inverse calls, which build the label inverses from that factor."""
+    calls = {"terms": 0, "inverse": 0}
     terms, inverse = batch_mod.label_terms, batch_mod.label_inverse
 
     def counted_terms(M, *args, **kwargs):
         calls["terms"] += 1
         return terms(M, *args, **kwargs)
 
-    def counted_inverse(M, mask, singular, factor=None, *args, **kwargs):
-        calls["inverse_anew" if factor is None else "inverse_from_factor"] += 1
-        return inverse(M, mask, singular, factor, *args, **kwargs)
+    def counted_inverse(factor, keep):
+        calls["inverse"] += 1
+        return inverse(factor, keep)
 
     monkeypatch.setattr(batch_mod, "label_terms", counted_terms)
     monkeypatch.setattr(batch_mod, "label_inverse", counted_inverse)
@@ -264,8 +264,7 @@ class TestLabelSpectraPerWeightVector:
     def test_theta_only_fit_takes_label_spectra_once(self, rng, monkeypatch):
         passes, calls, n_batches = self.fit(rng, monkeypatch, TRUE_SIMILARITY)
         assert len(passes) > 1
-        assert calls == {"terms": n_batches, "inverse_from_factor": 0,
-                         "inverse_anew": 0}
+        assert calls == {"terms": n_batches, "inverse": 0}
 
     def test_weights_fit_takes_them_once_per_new_weight_vector(
             self, rng, monkeypatch):
@@ -276,8 +275,7 @@ class TestLabelSpectraPerWeightVector:
         # every pass wants the weight gradient, and builds the label
         # inverses from the factor its label terms kept
         assert calls == {"terms": new * n_batches,
-                         "inverse_from_factor": len(passes) * n_batches,
-                         "inverse_anew": 0}
+                         "inverse": len(passes) * n_batches}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
