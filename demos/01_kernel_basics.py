@@ -12,14 +12,14 @@ import numpy as np
 
 from dpplearn import (
     GroundSetInstance,
+    ModelParams,
     SimilarityConfig,
-    assemble_L,
-    build_quality_vector,
-    build_similarity_matrix,
+    build_kernel,
     log_probability,
     marginal_kernel_from_L,
     subset_marginal,
 )
+from dpplearn.kernel import gram_stack, quality_stack, similarity_stack
 
 rng = np.random.default_rng(0)
 n = 6
@@ -32,10 +32,12 @@ x = rng.standard_normal((n, 3)) * 0.5
 instance = GroundSetInstance(x, phi)
 
 config = SimilarityConfig(bandwidths=(1.0, 4.0), include_linear=False)
-weights = np.array([0.5, 0.5])
-S = build_similarity_matrix(instance, config, weights)
-q = build_quality_vector(instance, np.array([0.3, 0.0, -0.2]))
-L = assemble_L(q, S)
+params = ModelParams(theta=np.array([0.3, 0.0, -0.2]), kernel_weights=[0.5, 0.5])
+L = build_kernel(instance, params, config)  # L_ij = q_i q_j S_ij
+
+# the factors of L, from the stack functions on a stack of one ground set
+S = similarity_stack(gram_stack(phi[None], config), params.kernel_weights)[0]
+q = quality_stack(x, params.theta)
 
 print("similarity matrix (items 0,1 and 2,3 are near-duplicates):")
 print(np.round(S, 3))

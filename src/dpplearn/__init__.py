@@ -22,10 +22,7 @@ from .kernel import (
     ModelParams,
     SimilarityConfig,
     as_subset,
-    assemble_L,
     build_kernel,
-    build_quality_vector,
-    build_similarity_matrix,
     log_probability,
     marginal_kernel_from_L,
     subset_marginal,

@@ -98,7 +98,7 @@ MAP_CHUNK_BYTES = 1 << 24
 class InstanceBatch:
     """Instances with a common item count, stacked for array evaluation."""
 
-    __slots__ = ("indices", "X", "grams", "mask", "size_groups", "n", "n_items",
+    __slots__ = ("indices", "X", "grams", "mask", "n", "n_items",
                  "grams_checked", "label_cache")
 
     def __init__(self, dataset_positions, instances, similarity):
@@ -111,23 +111,10 @@ class InstanceBatch:
         self.mask = np.zeros((self.n, self.n_items), dtype=bool)
         for row, inst in enumerate(instances):
             self.mask[row, list(inst.label or ())] = True
-        self.size_groups = label_groups(self.mask)
         self.grams_checked = False
         # the SimilarityTerms of the last weight vector a pass used: S and
         # the label log-dets, flags and factor
         self.label_cache = None
-
-
-def label_groups(mask):
-    """Non-empty labels of a (n, N) mask grouped by size, as a list of
-    ``(size, rows, labels)`` with ``labels`` the sorted item indices."""
-    sizes = np.count_nonzero(mask, axis=1)
-    groups = []
-    for size in np.unique(sizes[sizes > 0]):
-        rows = np.nonzero(sizes == size)[0]
-        labs = np.nonzero(mask[rows])[1].reshape(rows.size, size)
-        groups.append((int(size), rows, labs))
-    return groups
 
 
 def stack_instances(dataset, similarity):
@@ -267,13 +254,14 @@ def _unit_diagonal_forms(M, keep):
     return scale, P
 
 
-def label_terms(M, size_groups):
+def label_terms(M, mask):
     """Label log-determinants, singular flags and label factor of a stack.
 
     ``M`` (n, N, N) is a stack of kernels or of similarities S, whose
-    labels have the same flags.  Returns ``(logdet_y, singular, factor)``
-    under the rule of :func:`~dpplearn.kernel.label_spectra`: a singular
-    label has log-determinant -inf.
+    labels have the same flags, and ``mask`` (n, N) marks each row's
+    label items.  Returns ``(logdet_y, singular, factor)`` under the rule
+    of :func:`~dpplearn.kernel.label_spectra`: a singular label has
+    log-determinant -inf.
 
     One batched Cholesky factorization C C^T = P of the labels' padded
     unit-diagonal forms (:func:`_unit_diagonal_forms`) decides most rows.
@@ -287,14 +275,10 @@ def label_terms(M, size_groups):
     < 1/2 is therefore nonsingular with a factor of two to spare, and its
     log det is sum_i log M_ii + 2 sum_i log C_ii.  Only the rows left,
     which have a factor but no certificate, go through ``label_spectra``,
-    one call per label size.  ``factor`` is ``(scale, X)``, what
-    :func:`label_inverse` needs; X is the identity on a row without a
+    one call per label size among them.  ``factor`` is ``(scale, X)``,
+    what :func:`label_inverse` needs; X is the identity on a row without a
     factor (:func:`cholesky_stack`).
     """
-    n, N = M.shape[:2]
-    mask = np.zeros((n, N), dtype=bool)
-    for _, rows, labs in size_groups:
-        mask[rows[:, None], labs] = True
     d = np.diagonal(M, axis1=1, axis2=2)
     positive = np.all(d > 0, axis=1, where=mask)
     keep = mask & positive[:, None]
@@ -308,12 +292,13 @@ def label_terms(M, size_groups):
     logdet_y = np.sum(np.log(np.where(keep, d, 1.0)), axis=1) + 2.0 * np.sum(
         np.log(np.diagonal(C, axis1=1, axis2=2)), axis=1)
     logdet_y[singular] = -np.inf
-    for _, rows, labs in size_groups:
-        todo = ~(certified | singular)[rows]
-        if np.any(todo):
-            rows, labs = rows[todo], labs[todo]
-            sub = M[rows[:, None, None], labs[:, :, None], labs[:, None, :]]
-            logdet_y[rows], singular[rows] = label_spectra(sub)
+    todo = ~(certified | singular)
+    sizes = np.count_nonzero(mask, axis=1)
+    for size in np.unique(sizes[todo]).tolist():
+        rows = np.nonzero(todo & (sizes == size))[0]
+        labs = np.nonzero(mask[rows])[1].reshape(rows.size, size)
+        sub = M[rows[:, None, None], labs[:, :, None], labs[:, None, :]]
+        logdet_y[rows], singular[rows] = label_spectra(sub)
     return logdet_y, singular, (scale, X)
 
 
@@ -406,8 +391,7 @@ class SimilarityTerms:
     def __init__(self, batch, weights, key):
         self.key = key
         self.S = similarity_stack(batch.grams, weights)
-        self.logdet, self.singular, self.factor = label_terms(
-            self.S, batch.size_groups)
+        self.logdet, self.singular, self.factor = label_terms(self.S, batch.mask)
         self.logdet.setflags(write=False)
         self.singular.setflags(write=False)
 

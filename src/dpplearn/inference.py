@@ -13,14 +13,15 @@ running sum and the item choice run down columns.  An item is chosen by
 comparing u times the total mass with the unnormalized running sum, which
 differs from ``Generator.choice`` only at rounding boundaries of the
 cumulative distribution.  The sampler consumes the random stream exactly
-as T one-sample draws would, without a Python step per sample: it draws
-an upper bound of uniforms, finds where each sample's draws start, and
-restores the generator's state to redraw exactly the uniforms used.
-:func:`mbr_decode` with a generator of its own reads that upper bound
-from one cached draw per (seed, N, T), shared by every kernel of an item
-count.  :func:`sample_dpp` is the stack of one.  Each distinct drawn
-subset becomes one tuple; the consensus groups the tuples by hashing
-them and scores the distinct subsets.
+as T one-sample draws would, without a Python step per sample: it reads
+an array that holds an upper bound of the stream's uniforms and finds
+where each sample's draws start.  :func:`sample_dpp_stack` draws that
+array from its generator, then restores the generator's state and
+redraws exactly the uniforms used; :func:`mbr_decode` reads it from one
+cached draw per (seed, N, T), shared by every kernel of an item count.
+:func:`sample_dpp` is the stack of one.  Each distinct drawn subset
+becomes one tuple; the consensus groups the tuples by hashing them and
+scores the distinct subsets.
 """
 
 from __future__ import annotations
@@ -116,23 +117,32 @@ def sample_dpp_stack(L, T, rng):
     boundary of the cumulative distribution; the samples agree with a
     one-at-a-time sampler that calls ``choice`` up to such draws.
     fl(u c_N) < c_N for u < 1, so s always has positive mass.  The
-    uniforms are drawn without a loop over the samples (:func:`_uniforms`),
-    and ``rng`` ends where T one-sample calls leave it, whatever its bit
-    generator.
+    sampler draws the 2NT uniforms that T samples read at most in one
+    call, finds where each sample starts without a loop over the samples
+    (:func:`_uniforms`), then restores ``rng``'s saved state and redraws
+    exactly the uniforms used, so ``rng`` ends where T one-sample calls
+    leave it, whatever its bit generator.
 
     Phase two runs item-major, (N, T) with the sample axis last, one
     vectorized step per drawn item: the diagonal, its running sum and the
     compare-and-count run down columns.  Samples are processed in chunks
-    whose temporaries stay within ``batch.MAP_CHUNK_BYTES``.  Each drawn
-    subset is packed into a membership key; equal keys share one tuple,
-    and the list holds references to those tuples.
+    whose temporaries stay within ``batch.MAP_CHUNK_BYTES``, besides the
+    16 N T bytes of the draw.  Each drawn subset is packed into a
+    membership key; equal keys share one tuple, and the list holds
+    references to those tuples.
     """
-    return _sample_stream(L, T, rng)
+    state = rng.bit_generator.state
+    U = rng.random(2 * L.n_items * T)
+    samples, used = _sample_stream(L, T, U)
+    rng.bit_generator.state = state
+    rng.random(out=U[:used])
+    return samples
 
 
-def _sample_stream(L, T, stream):
-    """T samples read from ``stream``: a Generator, or an array holding at
-    least the first 2NT uniforms of a generator's stream."""
+def _sample_stream(L, T, U):
+    """T samples read from the array U, which holds at least the first 2NT
+    uniforms of a generator's stream, and the number of uniforms they
+    read."""
     probs = L.eigenvalues / (L.eigenvalues + 1.0)
     # Per sample, the Cholesky rows take 8 N k bytes, with k at most the
     # number of eigenvalues above zero; the diagonal, index, uniforms,
@@ -142,51 +152,42 @@ def _sample_stream(L, T, stream):
     per_sample = 8 * max(1, L.n_items) * (k_bound + 10)
     step = max(1, _batch.MAP_CHUNK_BYTES // per_sample)
     samples = []
+    used = 0
     for t0 in range(0, T, step):
-        U, offsets = _uniforms(probs, min(step, T - t0), stream)
-        samples += _sample_chunk(L.eigenvectors, probs, U, offsets)
-        if isinstance(stream, np.ndarray):
-            stream = stream[offsets[-1]:]
-    return samples
+        stream = U[used:]
+        offsets = _uniforms(probs, min(step, T - t0), stream)
+        samples += _sample_chunk(L.eigenvectors, probs, stream, offsets)
+        used += int(offsets[-1])
+    return samples, used
 
 
 @functools.lru_cache(maxsize=1)
 def _seeded_uniforms(seed, n):
     """The first n uniforms of ``default_rng(seed)``, read-only.
 
-    Every kernel that :func:`mbr_decode` samples with a generator of its
-    own reads a prefix of the same stream, so the kernels of one item
-    count share one draw.  The one cached entry holds 16 N T bytes.
+    Every kernel that :func:`mbr_decode` samples reads a prefix of the
+    same stream, so the kernels of one item count share one draw.  The
+    one cached entry holds 16 N T bytes.
     """
     U = np.random.default_rng(seed).random(n)
     U.flags.writeable = False
     return U
 
 
-def _uniforms(probs, T, stream):
-    """The uniforms of T one-sample draws and where each sample starts.
+def _uniforms(probs, T, U):
+    """Where each of T one-sample draws starts in the uniforms U.
 
     Sample t reads N uniforms from offset o_t of the stream for phase one
     and then one per kept eigenvector, so o_{t+1} = o_t + N + k(o_t), where
     k(o) counts the eigenvectors a sample starting at o keeps.  A sample
-    reads at most 2N, so 2NT uniforms hold every sample; k is counted at
-    every start by N compares of shifted slices, and the chain of offsets
-    is walked in Python through a memoryview of the counts, reading only
-    the T counts it lands on.  ``stream`` is either a Generator, whose
-    saved state is restored to redraw exactly the o_T uniforms used, so
-    it ends where T one-sample draws leave it, or an array that starts
-    with the stream's uniforms (:func:`_seeded_uniforms`).
+    reads at most 2N, so 2NT uniforms hold every sample, and U must hold
+    that many; k is counted at every start by N compares of shifted
+    slices, and the chain of offsets is walked in Python through a
+    memoryview of the counts, reading only the T counts it lands on.
 
-    Returns ``U``, the stream from o_0 on, and the T + 1 offsets o_0 = 0,
-    ..., o_T.
+    Returns the T + 1 offsets o_0 = 0, ..., o_T; o_T uniforms are used.
     """
     N = len(probs)
-    drawn = isinstance(stream, np.ndarray)
-    if drawn:
-        U = stream
-    else:
-        state = stream.bit_generator.state
-        U = stream.random(2 * N * T)
     starts = 2 * N * (T - 1) + 1  # the offsets a sample can start at
     k = np.zeros(starts, dtype=np.min_scalar_type(N))  # fewer bytes per pass
     less = np.empty(starts, dtype=bool)
@@ -199,10 +200,7 @@ def _uniforms(probs, T, stream):
     for t in range(T):
         o += N + k[o]
         offsets[t + 1] = o
-    if not drawn:
-        stream.bit_generator.state = state
-        stream.random(out=U[:o])
-    return U, np.array(offsets)
+    return np.array(offsets)
 
 
 def _sample_chunk(E, probs, U, offsets):
@@ -303,28 +301,27 @@ def consensus_scores(samples):
     return (f @ counts / T)[group[inverse]]
 
 
-def mbr_decode(L, config, rng=None):
+def mbr_decode(L, config):
     """Minimum-Bayes-risk decoding: the sample with highest consensus.
 
-    Draws ``config.mbr_samples`` subsets as :func:`sample_dpp_stack`
-    does, scores each by its average F-score against all drawn samples
-    (itself included; that adds the same 1/T to every candidate), and
-    returns the argmax, first occurrence winning ties.  Without ``rng``
-    the samples are those of ``default_rng(config.seed)``, read from the
-    seed's cached uniforms (:func:`_seeded_uniforms`), so the kernels of
-    one item count share one draw.  Deterministic given (L, config, seed).
+    Draws ``config.mbr_samples`` subsets as :func:`sample_dpp_stack` does
+    with ``default_rng(config.seed)``, scores each by its average F-score
+    against all drawn samples (itself included; that adds the same 1/T to
+    every candidate), and returns the argmax, first occurrence winning
+    ties.  The samples are read from the seed's cached uniforms
+    (:func:`_seeded_uniforms`), so the kernels of one item count share
+    one draw.  Deterministic given (L, config).
     """
     T = config.mbr_samples
-    stream = rng if rng is not None else _seeded_uniforms(
-        config.seed, 2 * L.n_items * T)
-    samples = _sample_stream(L, T, stream)
+    samples, _ = _sample_stream(
+        L, T, _seeded_uniforms(config.seed, 2 * L.n_items * T))
     if len(samples) == 1:
         return samples[0]
     return samples[int(np.argmax(consensus_scores(samples)))]
 
 
-def predict_subset(L, config, rng=None):
+def predict_subset(L, config):
     """Dispatch on ``config.mode`` to MAP enumeration or MBR decoding."""
     if config.mode == "exhaustive":
         return map_exhaustive(L, config.exhaustive_limit)
-    return mbr_decode(L, config, rng)
+    return mbr_decode(L, config)

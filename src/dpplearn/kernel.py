@@ -177,10 +177,11 @@ def uniform_params(d_q, similarity):
 class EnsembleKernel:
     """The N x N DPP kernel L with its eigendecomposition cached.
 
-    Construct via :func:`assemble_L` or :meth:`from_matrix`.  The spectrum
-    passes the trainer's PSD rule, :func:`clamp_psd_stack`, which clamps
-    rounding noise to zero; a matrix with a non-finite entry raises
-    NumericalError naming the entries.  Instances are immutable.
+    Construct via :func:`build_kernel` or :meth:`from_matrix`.  The
+    spectrum passes the trainer's PSD rule, :func:`clamp_psd_stack`, which
+    clamps rounding noise to zero; a matrix with a non-finite entry, or
+    one whose eigendecomposition does not converge, raises NumericalError.
+    Instances are immutable.
     """
 
     __slots__ = ("matrix", "eigenvalues", "eigenvectors")
@@ -204,7 +205,11 @@ class EnsembleKernel:
         tol = SYMMETRY_TOL * max(1.0, float(np.max(np.abs(L))) if L.size else 1.0)
         if L.size and np.max(np.abs(L - L.T)) > tol:
             raise ParameterError("kernel matrix is not symmetric")
-        evals, evecs = np.linalg.eigh(L)
+        try:
+            evals, evecs = np.linalg.eigh(L)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"eigendecomposition of the kernel matrix failed: {exc}") from exc
         return cls(L, clamp_psd_stack(evals[None])[0], evecs)
 
     @property
@@ -253,17 +258,6 @@ def clamp_psd_stack(evals, indices=None, context="", tol=EIG_CLAMP_TOL):
             f"kernel{name} has eigenvalue {lowest[row]:.3e} below tolerance "
             f"{floor[row]:.3e}{context}: it is not positive semidefinite")
     return np.maximum(evals, 0.0)
-
-
-def base_similarity_stack(instance, config):
-    """All base kernel Gram matrices of one ground set, (n_weights, N, N).
-
-    RBF components come first, one per bandwidth, followed by the linear
-    Gram matrix when configured.  The stack depends only on the similarity
-    features, so it can be computed once and reused across parameter
-    values.  It is :func:`gram_stack` on a split of one ground set.
-    """
-    return gram_stack(instance.similarity_features[None], config)[:, 0]
 
 
 def gram_stack(phi, config):
@@ -331,56 +325,30 @@ def kernel_stack(q, S):
     return q[:, :, None] * q[:, None, :] * S
 
 
-def build_similarity_matrix(instance, config, weights):
-    """Weighted similarity matrix S for one ground set.
+def build_kernel(instance, params, similarity):
+    """Ground-set features + parameters -> EnsembleKernel (one call).
 
-    S_ij = sum_k alpha_k exp(-||phi_i - phi_j||^2 / sigma_k^2)
-           + beta phi_i . phi_j, with (alpha, beta) = ``weights`` on the
-    simplex.  Symmetric by construction; positive semidefinite since every
-    base Gram matrix is.
+    The stack functions on a stack of one ground set: :func:`gram_stack`,
+    :func:`similarity_stack`, :func:`quality_stack` and
+    :func:`kernel_stack`, so the kernel is bit for bit the batch's row
+    (``batch.build_L_stack``).  Raises ParameterError when theta does not
+    match the quality features or the kernel weights do not match
+    ``similarity``.
     """
-    w = np.ravel(np.asarray(weights, dtype=float))
-    if w.size != config.n_weights:
-        raise ParameterError(
-            f"expected {config.n_weights} kernel weights, got {w.size}"
-        )
-    check_simplex(w)
-    return similarity_stack(base_similarity_stack(instance, config)[:, None], w)[0]
-
-
-def build_quality_vector(instance, theta):
-    """Per-item qualities q_i = exp(theta . x_i), strictly positive."""
-    theta = np.ravel(np.asarray(theta, dtype=float))
+    theta, weights = params.theta, params.kernel_weights
     x = instance.quality_features
     if theta.size != x.shape[1]:
         raise ParameterError(
             f"theta has dimension {theta.size}, quality features have {x.shape[1]}"
         )
-    return quality_stack(x, theta)
-
-
-def assemble_L(q, S):
-    """Assemble L_ij = q_i q_j S_ij and cache its eigendecomposition."""
-    q = np.ravel(np.asarray(q, dtype=float))
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ParameterError(f"similarity matrix must be square, got {S.shape}")
-    if q.size != S.shape[0]:
+    if weights.size != similarity.n_weights:
         raise ParameterError(
-            f"{q.size} qualities for a {S.shape[0]}-item similarity matrix"
+            f"expected {similarity.n_weights} kernel weights, got {weights.size}"
         )
-    if q.size and np.min(q) <= 0:
-        raise ParameterError("qualities must be strictly positive")
-    if S.size and np.max(np.abs(S - S.T)) > SYMMETRY_TOL:
-        raise ParameterError("similarity matrix is not symmetric")
-    return EnsembleKernel.from_matrix(kernel_stack(q[None], S[None])[0])
-
-
-def build_kernel(instance, params, similarity):
-    """Ground-set features + parameters -> EnsembleKernel (one call)."""
-    S = build_similarity_matrix(instance, similarity, params.kernel_weights)
-    q = build_quality_vector(instance, params.theta)
-    return assemble_L(q, S)
+    S = similarity_stack(gram_stack(instance.similarity_features[None], similarity),
+                         weights)
+    q = quality_stack(x[None], theta)
+    return EnsembleKernel.from_matrix(kernel_stack(q, S)[0])
 
 
 def marginal_kernel_from_L(L):

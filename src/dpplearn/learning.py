@@ -194,7 +194,7 @@ def grad_loglik_wrt_L(L, y_star):
     """
     mask = _label_mask(y_star, L.n_items)
     L_stack = L.matrix[None]
-    _, singular, factor = _batch.label_terms(L_stack, _batch.label_groups(mask))
+    _, singular, factor = _batch.label_terms(L_stack, mask)
     if singular[0]:
         raise DegenerateLabelError(
             f"kernel submatrix for label {as_subset(y_star)} is numerically "

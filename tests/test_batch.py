@@ -42,7 +42,6 @@ from dpplearn.batch import (
     cholesky_stack,
     dataset_value_and_grad,
     hinge_terms,
-    label_groups,
     label_terms,
     map_exhaustive_stack,
     resolvent_stack,
@@ -188,7 +187,7 @@ def test_one_singular_label_rule(delta):
     L = build_kernel(inst, params, TRUE_SIMILARITY)
     assert np.max(np.abs(L.matrix - M)) < 1e-15
     mask = np.array([[True, True, False]])
-    _, singular, _ = label_terms(L.matrix[None], label_groups(mask))
+    _, singular, _ = label_terms(L.matrix[None], mask)
     assert singular[0] == (delta < 2e-8)
     objective = instance_objective(
         params, inst, TrainConfig(similarity=TRUE_SIMILARITY, lam=0.0)
@@ -224,12 +223,12 @@ def test_label_rule_ignores_the_quality_scale(rng):
             for _ in range(40)]
     batch = stack_instances(data, TRUE_SIMILARITY)[0]
     _, L = build_L_stack(batch, 0.4 * rng.standard_normal(3), np.ones(1))
-    logdet, singular, _ = label_terms(L, batch.size_groups)
+    logdet, singular, _ = label_terms(L, batch.mask)
     assert 0 < np.count_nonzero(singular) < len(data)
     log_c = rng.uniform(-7.0, 7.0, size=(len(data), 6))
     c = np.exp(log_c)
     scaled_logdet, scaled_singular, _ = label_terms(
-        c[:, :, None] * c[:, None, :] * L, batch.size_groups)
+        c[:, :, None] * c[:, None, :] * L, batch.mask)
     assert np.array_equal(scaled_singular, singular)
     shift = 2.0 * np.sum(log_c, axis=1, where=batch.mask)
     ok = ~singular
@@ -272,7 +271,7 @@ def test_zero_diagonal_label_is_singular():
         inst = GroundSetInstance(x, phi, label)
         mask = np.zeros((1, 3), dtype=bool)
         mask[0, list(label)] = True
-        logdet, singular, _ = label_terms(L.matrix[None], label_groups(mask))
+        logdet, singular, _ = label_terms(L.matrix[None], mask)
         assert singular[0] and logdet[0] == -np.inf
         assert log_probability(L, label) == -np.inf
         with pytest.raises(DegenerateLabelError):
@@ -282,13 +281,16 @@ def test_zero_diagonal_label_is_singular():
             assert np.isfinite(instance_objective(params, inst, config))
 
 
-def test_build_kernel_is_the_stack_row(rng, dataset):
+@pytest.mark.parametrize("similarity", [FIG1C_BANK, TRUE_SIMILARITY, RBF_SIM],
+                         ids=["rbf-bank", "linear", "rbf-and-linear"])
+def test_build_kernel_is_the_stack_row(rng, dataset, similarity):
     theta = 0.4 * rng.standard_normal(3)
-    weights = project_to_simplex(rng.random(3))
+    weights = project_to_simplex(rng.random(similarity.n_weights))
     params = ModelParams(theta, weights)
-    _, L_stack = build_L_stack(stack_instances(dataset, RBF_SIM)[0], theta, weights)
+    _, L_stack = build_L_stack(stack_instances(dataset, similarity)[0], theta, weights)
     for row, inst in enumerate(dataset):
-        assert np.array_equal(build_kernel(inst, params, RBF_SIM).matrix, L_stack[row])
+        assert np.array_equal(build_kernel(inst, params, similarity).matrix,
+                              L_stack[row])
 
 
 def _peak_bytes(fn, *args):
@@ -735,7 +737,7 @@ class TestLabelCertificate:
         for weights in (np.full(9, 1 / 9), project_to_simplex(rng.random(9))):
             S = similarity_stack(batch.grams, weights)
             spectra = _count_label_spectra(monkeypatch)
-            logdet, singular, factor = label_terms(S, batch.size_groups)
+            logdet, singular, factor = label_terms(S, batch.mask)
             ref_logdet, ref_singular = _label_spectra_rows(S, batch.mask)
             assert np.array_equal(singular, ref_singular)
             _assert_logdets_close(logdet, ref_logdet)
@@ -760,7 +762,7 @@ class TestLabelCertificate:
                 mask.append(np.arange(N) < k)
         M, mask = np.array(stack), np.array(mask)
         spectra = _count_label_spectra(monkeypatch)
-        logdet, singular, factor = label_terms(M, label_groups(mask))
+        logdet, singular, factor = label_terms(M, mask)
         ref_logdet, ref_singular = _label_spectra_rows(M, mask)
         assert factor is not None
         assert np.array_equal(singular, ref_singular)
@@ -787,7 +789,7 @@ class TestLabelCertificate:
         batch = stack_instances(data, TRUE_SIMILARITY)[0]
         S = similarity_stack(batch.grams, np.ones(1))
         spectra = _count_label_spectra(monkeypatch)
-        logdet, singular, (scale, X) = label_terms(S, batch.size_groups)
+        logdet, singular, (scale, X) = label_terms(S, batch.mask)
         ref_logdet, ref_singular = _label_spectra_rows(S, batch.mask)
         assert np.array_equal(singular, ref_singular) and singular[-1]
         assert np.count_nonzero(singular) == 1
@@ -803,7 +805,7 @@ class TestLabelCertificate:
         zero = batch.mask[2].argmax()
         S[2, zero, :] = S[2, :, zero] = 0.0
         spectra = _count_label_spectra(monkeypatch)
-        logdet, singular, factor = label_terms(S, batch.size_groups)
+        logdet, singular, factor = label_terms(S, batch.mask)
         ref_logdet, ref_singular = _label_spectra_rows(S, batch.mask)
         # the zero-diagonal row is left out of the factorization and is
         # singular without label_spectra
@@ -827,7 +829,7 @@ class TestLabelCertificate:
             return C, failed
 
         monkeypatch.setattr(batch_mod, "cholesky_stack", recorded)
-        logdet, singular, _ = label_terms(S, batch.size_groups)
+        logdet, singular, _ = label_terms(S, batch.mask)
         ref_logdet, ref_singular = _label_spectra_rows(S, batch.mask)
         assert np.array_equal(singular, ref_singular)
         assert 0 < np.count_nonzero(singular) < len(data)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dpplearn
@@ -80,9 +81,9 @@ def test_gen_train_infer_eval_pipeline(tmp_path, gen_cfg, capsys):
     assert summary["n"] == 8
 
 
-@pytest.mark.parametrize("mode", ["exhaustive", "mbr"])
-def test_infer_with_overflowing_qualities_is_numerical_error(tmp_path, gen_cfg,
-                                                             capsys, mode):
+def _trained_infer_cfg(tmp_path, gen_cfg, mode, theta_scale=1.0):
+    """gen and a short linear-kernel train, then an infer config for the
+    test split in ``mode`` with the fitted theta scaled by theta_scale."""
     data_dir = tmp_path / "data"
     assert cli_main(["gen", "--config", gen_cfg, "--out-dir", str(data_dir)]) == EXIT_OK
     train_cfg = write_cfg(
@@ -95,20 +96,42 @@ def test_infer_with_overflowing_qualities_is_numerical_error(tmp_path, gen_cfg,
     assert cli_main(["train", "--config", train_cfg, "--out-dir", str(fit_dir)]) == EXIT_OK
     model = fit_dir / "train_result.json"
     doc = json.loads(model.read_text())
-    doc["params"]["theta"] = [200.0 * t for t in doc["params"]["theta"]]
+    doc["params"]["theta"] = [theta_scale * t for t in doc["params"]["theta"]]
     model.write_text(json.dumps(doc))
-    infer_cfg = write_cfg(
+    return write_cfg(
         tmp_path / "infer.cfg",
         f'dataset = "{data_dir}/test.jsonl"\n'
         f'model = "{model}"\n'
         f'inference.mode = "{mode}"\n'
         "inference.mbr_samples = 50\n",
     )
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "mbr"])
+def test_infer_with_overflowing_qualities_is_numerical_error(tmp_path, gen_cfg,
+                                                             capsys, mode):
+    infer_cfg = _trained_infer_cfg(tmp_path, gen_cfg, mode, theta_scale=200.0)
     capsys.readouterr()
     code = cli_main(["infer", "--config", infer_cfg,
                      "--out-dir", str(tmp_path / "pred")])
     assert code == EXIT_NUMERICAL
     assert "overflow" in capsys.readouterr().err
+    assert not (tmp_path / "pred" / "predictions.jsonl").exists()
+
+
+def test_infer_mbr_with_failing_eigendecomposition_is_numerical_error(
+        tmp_path, gen_cfg, capsys, monkeypatch):
+    infer_cfg = _trained_infer_cfg(tmp_path, gen_cfg, "mbr")
+
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    capsys.readouterr()
+    code = cli_main(["infer", "--config", infer_cfg,
+                     "--out-dir", str(tmp_path / "pred")])
+    assert code == EXIT_NUMERICAL
+    assert "did not converge" in capsys.readouterr().err
     assert not (tmp_path / "pred" / "predictions.jsonl").exists()
 
 

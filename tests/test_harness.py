@@ -21,7 +21,8 @@ from dpplearn.harness import (
     write_manifest,
 )
 from dpplearn.learning import TrainConfig
-from dpplearn.errors import ParameterError
+from dpplearn.errors import NumericalError, ParameterError
+from dpplearn.kernel import ModelParams
 from dpplearn.synth import true_params
 
 logging.getLogger("dpplearn.learning").setLevel(logging.ERROR)
@@ -226,6 +227,18 @@ class TestMbrContract:
             want = [sample_dpp_reference(L, rng) for _ in range(config.mbr_samples)]
             assert samples == want
             assert pred == mbr_reference(want)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "mbr"])
+def test_predict_subsets_with_overflowing_qualities_is_numerical_error(mode):
+    # the generating theta scaled by 200 takes x . theta past LOG_QUALITY_MAX
+    from dpplearn.harness import predict_subsets
+
+    ds = generate_dataset(TINY_SYNTH)
+    params = ModelParams(200.0 * ds.true_theta, [1.0])
+    config = InferenceConfig(mode=mode, mbr_samples=50)
+    with pytest.raises(NumericalError, match="overflow"):
+        predict_subsets(ds.test, params, TRUE_SIMILARITY, config)
 
 
 class TestDirections:

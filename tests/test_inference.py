@@ -19,9 +19,13 @@ from dpplearn import (
     GroundSetInstance,
     InferenceConfig,
     ParameterError,
+    ModelParams,
+    NumericalError,
     SimilarityConfig,
-    assemble_L,
-    build_similarity_matrix,
+    SynthConfig,
+    TRUE_SIMILARITY,
+    build_kernel,
+    generate_dataset,
     log_probability,
     map_exhaustive,
     marginal_kernel_from_L,
@@ -67,7 +71,7 @@ def duplicate_item_kernel():
     phi = np.array([[1.0, 0.0], [1.0, 0.0], [0.2, 0.9]])
     inst = GroundSetInstance(np.zeros((3, 1)), phi)
     cfg = SimilarityConfig(bandwidths=(1.0,), include_linear=False)
-    return assemble_L(np.ones(3), build_similarity_matrix(inst, cfg, [1.0]))
+    return build_kernel(inst, ModelParams(np.zeros(1), [1.0]), cfg)
 
 
 class TestSampler:
@@ -316,3 +320,13 @@ class TestPredictSubset:
     def test_exhaustive_limit_below_one_rejected(self, limit):
         with pytest.raises(ParameterError, match="exhaustive_limit"):
             InferenceConfig(exhaustive_limit=limit)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "mbr"])
+    def test_overflowing_qualities_are_numerical_error(self, mode):
+        # the generating theta scaled by 200 takes x . theta past
+        # LOG_QUALITY_MAX on every test instance
+        ds = generate_dataset(SynthConfig(n_train=4, n_holdout=1, n_test=4, seed=0))
+        params = ModelParams(200.0 * ds.true_theta, [1.0])
+        config = InferenceConfig(mode=mode, mbr_samples=50)
+        with pytest.raises(NumericalError, match="overflow"):
+            predict_subset(build_kernel(ds.test[0], params, TRUE_SIMILARITY), config)

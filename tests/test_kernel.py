@@ -15,15 +15,12 @@ from dpplearn import (
     ParameterError,
     SimilarityConfig,
     as_subset,
-    assemble_L,
     build_kernel,
-    build_quality_vector,
-    build_similarity_matrix,
     log_probability,
     marginal_kernel_from_L,
     subset_marginal,
 )
-from dpplearn.kernel import base_similarity_stack, gram_stack
+from dpplearn.kernel import gram_stack, kernel_stack, quality_stack, similarity_stack
 
 
 class TestSubset:
@@ -50,39 +47,52 @@ class TestInstanceValidation:
             GroundSetInstance(np.zeros((3, 2)), np.zeros((3, 2)), label=(0, 3))
 
 
+def similarity_matrix(instance, config, weights):
+    """S of one ground set: the stack functions on a stack of one."""
+    grams = gram_stack(instance.similarity_features[None], config)
+    return similarity_stack(grams, np.asarray(weights, dtype=float))[0]
+
+
+def kernel_of(q, S):
+    """The EnsembleKernel of L = diag(q) S diag(q)."""
+    return EnsembleKernel.from_matrix(
+        kernel_stack(np.asarray(q, dtype=float)[None], np.asarray(S, dtype=float)[None])[0])
+
+
 class TestSimilarityMatrix:
     def test_identical_items_rbf_only(self):
         phi = np.tile([1.0, 2.0], (3, 1))
         inst = GroundSetInstance(np.zeros((3, 1)), phi)
         cfg = SimilarityConfig(bandwidths=(0.5, 3.0), include_linear=False)
-        S = build_similarity_matrix(inst, cfg, [0.25, 0.75])
+        S = similarity_matrix(inst, cfg, [0.25, 0.75])
         assert np.allclose(S, 1.0)
 
     def test_orthogonal_linear_term(self):
         phi = np.array([[1.0, 0.0], [0.0, 1.0]])
         inst = GroundSetInstance(np.zeros((2, 1)), phi)
         cfg = SimilarityConfig(bandwidths=(), include_linear=True)
-        S = build_similarity_matrix(inst, cfg, [1.0])
+        S = similarity_matrix(inst, cfg, [1.0])
         assert S[0, 1] == 0.0
 
     def test_single_rbf_value(self):
         phi = np.array([[0.0, 0.0], [1.0, 0.0]])
         inst = GroundSetInstance(np.zeros((2, 1)), phi)
         cfg = SimilarityConfig(bandwidths=(1.0,), include_linear=False)
-        S = build_similarity_matrix(inst, cfg, [1.0])
+        S = similarity_matrix(inst, cfg, [1.0])
         assert S[0, 1] == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_off_simplex_weights_rejected(self):
         inst = make_instance(np.random.default_rng(0))
+        theta = np.zeros(inst.quality_features.shape[1])
         with pytest.raises(ParameterError):
-            build_similarity_matrix(inst, RBF_SIM, [0.5, 0.7, 0.1])
-        with pytest.raises(ParameterError):
-            build_similarity_matrix(inst, RBF_SIM, [0.5, 0.5])  # wrong length
+            ModelParams(theta, [0.5, 0.7, 0.1])
+        with pytest.raises(ParameterError):  # wrong length
+            build_kernel(inst, ModelParams(theta, [0.5, 0.5]), RBF_SIM)
 
     def test_symmetric_and_psd_without_linear(self, rng):
         inst = make_instance(rng, n=7)
         cfg = SimilarityConfig(bandwidths=(0.5, 1.5, 4.0), include_linear=False)
-        S = build_similarity_matrix(inst, cfg, [0.2, 0.3, 0.5])
+        S = similarity_matrix(inst, cfg, [0.2, 0.3, 0.5])
         assert np.array_equal(S, S.T)
         assert np.linalg.eigvalsh(S).min() > -1e-10
 
@@ -90,63 +100,59 @@ class TestSimilarityMatrix:
 class TestQualityVector:
     def test_zero_theta_gives_unit_quality(self, rng):
         inst = make_instance(rng)
-        assert np.array_equal(build_quality_vector(inst, np.zeros(3)), np.ones(6))
+        assert np.array_equal(quality_stack(inst.quality_features, np.zeros(3)), np.ones(6))
 
     def test_known_values(self):
-        inst = GroundSetInstance(
-            np.array([[math.log(2.0), 5.0], [-1.0, 1.0]]), np.zeros((2, 1))
-        )
-        q = build_quality_vector(inst, np.array([1.0, 0.0]))
+        x = np.array([[math.log(2.0), 5.0], [-1.0, 1.0]])
+        q = quality_stack(x, np.array([1.0, 0.0]))
         assert q[0] == pytest.approx(2.0, rel=1e-12)
-        q = build_quality_vector(inst, np.array([1.0, 1.0]))
+        q = quality_stack(x, np.array([1.0, 1.0]))
         assert q[1] == pytest.approx(1.0, rel=1e-12)
 
     def test_strictly_positive(self, rng):
         inst = make_instance(rng, feature_scale=3.0)
-        assert build_quality_vector(inst, rng.standard_normal(3)).min() > 0
+        assert quality_stack(inst.quality_features, rng.standard_normal(3)).min() > 0
 
     def test_dimension_mismatch(self, rng):
-        with pytest.raises(ParameterError):
-            build_quality_vector(make_instance(rng), np.zeros(5))
+        inst = make_instance(rng)
+        with pytest.raises(ParameterError, match="theta has dimension 5"):
+            build_kernel(inst, ModelParams(np.zeros(5), [0.5, 0.3, 0.2]), RBF_SIM)
 
 
 class TestAssembleL:
+    """L = diag(q) S diag(q) by kernel_stack, decomposed by from_matrix."""
+
     def test_identity_case(self):
-        L = assemble_L(np.ones(3), np.eye(3))
+        L = kernel_of(np.ones(3), np.eye(3))
         assert np.allclose(L.matrix, np.eye(3))
         assert np.allclose(L.eigenvalues, 1.0)
 
     def test_diagonal_scaling(self):
-        L = assemble_L(np.array([2.0, 3.0]), np.eye(2))
+        L = kernel_of([2.0, 3.0], np.eye(2))
         assert np.allclose(L.matrix, np.diag([4.0, 9.0]))
 
     def test_rank_one_eigenvalues(self):
-        L = assemble_L(np.ones(2), np.ones((2, 2)))
+        L = kernel_of(np.ones(2), np.ones((2, 2)))
         assert np.allclose(sorted(L.eigenvalues), [0.0, 2.0], atol=1e-12)
-
-    def test_rejects_nonpositive_quality(self):
-        with pytest.raises(ParameterError):
-            assemble_L(np.array([1.0, 0.0]), np.eye(2))
 
     def test_rejects_asymmetric_similarity(self):
         with pytest.raises(ParameterError):
-            assemble_L(np.ones(2), np.array([[1.0, 0.5], [0.2, 1.0]]))
+            kernel_of(np.ones(2), [[1.0, 0.5], [0.2, 1.0]])
 
     def test_rejects_indefinite_similarity(self):
         S = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
         with pytest.raises(NotPositiveSemidefiniteError):
-            assemble_L(np.ones(2), S)
+            kernel_of(np.ones(2), S)
 
     def test_clamps_rounding_noise(self):
         S = np.ones((2, 2)) - 1e-8 * np.eye(2)  # eigenvalue ~ -1e-8
-        L = assemble_L(np.ones(2), S)
+        L = kernel_of(np.ones(2), S)
         assert L.eigenvalues.min() == 0.0
 
     def test_symmetry_and_reconstruction(self, rng):
         inst = make_instance(rng, n=8)
-        S = build_similarity_matrix(inst, RBF_SIM, [0.3, 0.3, 0.4])
-        q = build_quality_vector(inst, rng.standard_normal(3))
-        L = assemble_L(q, S)
+        L = build_kernel(inst, ModelParams(rng.standard_normal(3), [0.3, 0.3, 0.4]),
+                         RBF_SIM)
         assert np.max(np.abs(L.matrix - L.matrix.T)) <= 1e-10
         recon = (L.eigenvectors * L.eigenvalues) @ L.eigenvectors.T
         assert np.max(np.abs(recon - L.matrix)) <= 1e-8
@@ -233,8 +239,7 @@ class TestSubsetMarginal:
         phi = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # items 0, 1 identical
         inst = GroundSetInstance(np.zeros((3, 1)), phi)
         cfg = SimilarityConfig(bandwidths=(1.0,), include_linear=False)
-        S = build_similarity_matrix(inst, cfg, [1.0])
-        K = marginal_kernel_from_L(assemble_L(np.ones(3), S))
+        K = marginal_kernel_from_L(build_kernel(inst, ModelParams(np.zeros(1), [1.0]), cfg))
         assert K.matrix[0, 0] == pytest.approx(K.matrix[0, 1], abs=1e-12)
         assert subset_marginal(K, (0, 1)) == pytest.approx(0.0, abs=1e-12)
 
@@ -315,6 +320,15 @@ def test_from_matrix_rejects_non_finite_entries(entries, value, named):
         EnsembleKernel.from_matrix(L)
 
 
+def test_from_matrix_eigh_failure_is_numerical_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericalError, match="did not converge"):
+        EnsembleKernel.from_matrix(np.eye(3))
+
+
 def random_psd_factory():
     rng = np.random.default_rng(5)
     Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -358,5 +372,4 @@ def test_gram_stack_on_a_stacked_split(config, N):
         ref = np.stack(gram_references(p, config))
         assert np.max(np.abs(grams[:, row] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
         assert np.array_equal(grams[:, row], _per_set_grams(p, config))
-        inst = GroundSetInstance(p, p)
-        assert np.array_equal(base_similarity_stack(inst, config), grams[:, row])
+        assert np.array_equal(gram_stack(p[None], config)[:, 0], grams[:, row])

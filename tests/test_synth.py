@@ -11,7 +11,7 @@ from dpplearn import (
     generate_dataset,
     true_params,
 )
-from dpplearn.kernel import base_similarity_stack
+from dpplearn.kernel import gram_stack
 from dpplearn.batch import build_L_stack, map_exhaustive_stack, stack_instances
 from dpplearn.harness import FIG1C_SIMILARITY
 
@@ -113,12 +113,12 @@ class TestGenerateDataset:
 
 
 class TestMisspecifiedSimilarity:
-    """fig1b's mis-specified similarity: one RBF through base_similarity_stack."""
+    """fig1b's mis-specified similarity: one RBF through gram_stack."""
 
     @staticmethod
     def rbf(instance, sigma):
         config = SimilarityConfig(bandwidths=(sigma,), include_linear=False)
-        return base_similarity_stack(instance, config)[0]
+        return gram_stack(instance.similarity_features[None], config)[0, 0]
 
     def test_unit_diagonal(self):
         ds = generate_dataset(SMALL)
