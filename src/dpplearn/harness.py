@@ -144,9 +144,9 @@ def predict_subsets(instances, params, similarity, inference):
     The kernels of each item-count group are built in one
     :func:`build_L_stack` call.  Exhaustive mode decodes the group in one
     :func:`map_exhaustive_stack` call; MBR mode decodes kernel by kernel,
-    every kernel with a generator seeded by ``inference.seed``, so the
-    kernels of an item count read the same stream and share one draw of
-    the seed's uniforms.
+    every kernel with a generator seeded by ``inference.seed``, so the T
+    samples of each N-item kernel read the same first 2NT uniforms, from
+    one shared draw.
     """
     instances = list(instances)
     if not instances:

@@ -6,22 +6,14 @@ many samples and returns the one with the highest average F-score
 consensus against the rest.
 
 Sampling has one engine, :func:`sample_dpp_stack`, which draws a kernel's
-T samples together: its phase two follows the conditional diagonal of the
-kept eigenvectors' projection kernel by incremental Cholesky, one
-vectorized step per drawn item, laid out item-major (N, T) so that the
-running sum and the item choice run down columns.  An item is chosen by
-comparing u times the total mass with the unnormalized running sum, which
-differs from ``Generator.choice`` only at rounding boundaries of the
-cumulative distribution.  The sampler consumes the random stream exactly
-as T one-sample draws would, without a Python step per sample: it reads
-an array that holds an upper bound of the stream's uniforms and finds
-where each sample's draws start.  :func:`sample_dpp_stack` draws that
-array from its generator, then restores the generator's state and
-redraws exactly the uniforms used; :func:`mbr_decode` reads it from one
-cached draw per (seed, N, T), shared by every kernel of an item count.
-:func:`sample_dpp` is the stack of one.  Each distinct drawn subset
-becomes one tuple; the consensus groups the tuples by hashing them and
-scores the distinct subsets.
+T samples together in one vectorized pass, 2N uniforms per sample: sample
+t reads ``U[2Nt : 2Nt + N]`` for phase one and ``U[2Nt + N + j]`` for its
+j-th item.  :func:`sample_dpp_stack` draws the 2NT uniforms from its
+generator; :func:`mbr_decode` reads them from one cached draw per
+(seed, N, T), shared by every kernel of an item count.  :func:`sample_dpp`
+is the stack of one.  Each distinct drawn subset becomes one tuple; the
+consensus groups the tuples by hashing them and scores the distinct
+subsets.
 """
 
 from __future__ import annotations
@@ -90,7 +82,7 @@ def sample_dpp(L, rng):
     """Draw one subset exactly distributed as P(y) proportional to det(L_y).
 
     The stack of one of :func:`sample_dpp_stack`: it draws the same
-    subset and advances ``rng`` by the same amount.
+    subset and reads the same 2N uniforms from ``rng``.
     """
     return sample_dpp_stack(L, 1, rng)[0]
 
@@ -107,21 +99,16 @@ def sample_dpp_stack(L, T, rng):
     (Chen, Zhang & Zhou, arXiv 1709.05135).  Items whose conditional
     diagonal falls below 1e-12 are excluded before each draw.
 
-    The draws are those of T successive one-sample calls, in order:
-    ``rng.random(N)`` for phase one, then one uniform u per drawn item.
-    u picks item s = #{i : c_i <= u c_N}, with c the running sum of the
+    The draws are ``U = rng.random(2 * N * T)``: sample t keeps eigenvector
+    m when ``U[2Nt + m] < lambda_m / (lambda_m + 1)`` and picks its j-th
+    item with u = ``U[2Nt + N + j]``; the rest of its 2N go unread.  u
+    picks item s = #{i : c_i <= u c_N}, with c the running sum of the
     unnormalized conditional diagonal: the item whose share of the
     cumulative mass holds u.  ``Generator.choice`` normalizes the mass,
     sums it and normalizes the sum again before it compares u, so the two
-    rules pick different items only when u falls within rounding of a
-    boundary of the cumulative distribution; the samples agree with a
-    one-at-a-time sampler that calls ``choice`` up to such draws.
-    fl(u c_N) < c_N for u < 1, so s always has positive mass.  The
-    sampler draws the 2NT uniforms that T samples read at most in one
-    call, finds where each sample starts without a loop over the samples
-    (:func:`_uniforms`), then restores ``rng``'s saved state and redraws
-    exactly the uniforms used, so ``rng`` ends where T one-sample calls
-    leave it, whatever its bit generator.
+    rules differ only when u falls within rounding of a boundary of the
+    cumulative distribution.  fl(u c_N) < c_N for u < 1, so s always has
+    positive mass.
 
     Phase two runs item-major, (N, T) with the sample axis last, one
     vectorized step per drawn item: the diagonal, its running sum and the
@@ -131,89 +118,51 @@ def sample_dpp_stack(L, T, rng):
     membership key; equal keys share one tuple, and the list holds
     references to those tuples.
     """
-    state = rng.bit_generator.state
-    U = rng.random(2 * L.n_items * T)
-    samples, used = _sample_stream(L, T, U)
-    rng.bit_generator.state = state
-    rng.random(out=U[:used])
-    return samples
+    return _sample_stream(L, T, rng.random(2 * L.n_items * T))
 
 
 def _sample_stream(L, T, U):
-    """T samples read from the array U, which holds at least the first 2NT
-    uniforms of a generator's stream, and the number of uniforms they
-    read."""
+    """T samples read from the 2NT uniforms U, 2N per sample."""
+    N = L.n_items
     probs = L.eigenvalues / (L.eigenvalues + 1.0)
     # Per sample, the Cholesky rows take 8 N k bytes, with k at most the
-    # number of eigenvalues above zero; the diagonal, index, uniforms,
-    # items, keep flags and key under 34 N; phase one's 2N uniforms,
-    # counts and compares under 22 N; a step's temporaries 24 N.
+    # number of eigenvalues above zero; the diagonal, item uniforms, items,
+    # keep flags and key take under 34 N and a step's temporaries 24 N,
+    # within the 80 N allowed besides the rows.
     k_bound = int(np.count_nonzero(probs > 0))
-    per_sample = 8 * max(1, L.n_items) * (k_bound + 10)
+    per_sample = 8 * max(1, N) * (k_bound + 10)
     step = max(1, _batch.MAP_CHUNK_BYTES // per_sample)
+    draws = U.reshape(T, 2, N)
     samples = []
-    used = 0
     for t0 in range(0, T, step):
-        stream = U[used:]
-        offsets = _uniforms(probs, min(step, T - t0), stream)
-        samples += _sample_chunk(L.eigenvectors, probs, stream, offsets)
-        used += int(offsets[-1])
-    return samples, used
+        samples += _sample_chunk(L.eigenvectors, probs, draws[t0:t0 + step])
+    return samples
 
 
 @functools.lru_cache(maxsize=1)
 def _seeded_uniforms(seed, n):
     """The first n uniforms of ``default_rng(seed)``, read-only.
 
-    Every kernel that :func:`mbr_decode` samples reads a prefix of the
-    same stream, so the kernels of one item count share one draw.  The
-    one cached entry holds 16 N T bytes.
+    :func:`mbr_decode` samples an N-item kernel T times from the first 2NT,
+    so the kernels of one item count share one draw of 16 N T bytes.
     """
     U = np.random.default_rng(seed).random(n)
     U.flags.writeable = False
     return U
 
 
-def _uniforms(probs, T, U):
-    """Where each of T one-sample draws starts in the uniforms U.
-
-    Sample t reads N uniforms from offset o_t of the stream for phase one
-    and then one per kept eigenvector, so o_{t+1} = o_t + N + k(o_t), where
-    k(o) counts the eigenvectors a sample starting at o keeps.  A sample
-    reads at most 2N, so 2NT uniforms hold every sample, and U must hold
-    that many; k is counted at every start by N compares of shifted
-    slices, and the chain of offsets is walked in Python through a
-    memoryview of the counts, reading only the T counts it lands on.
-
-    Returns the T + 1 offsets o_0 = 0, ..., o_T; o_T uniforms are used.
-    """
-    N = len(probs)
-    starts = 2 * N * (T - 1) + 1  # the offsets a sample can start at
-    k = np.zeros(starts, dtype=np.min_scalar_type(N))  # fewer bytes per pass
-    less = np.empty(starts, dtype=bool)
-    for m in range(N):
-        np.less(U[m:m + starts], probs[m], out=less)
-        k += less
-    k = memoryview(k)
-    offsets = [0] * (T + 1)
-    o = 0
-    for t in range(T):
-        o += N + k[o]
-        offsets[t + 1] = o
-    return np.array(offsets)
-
-
-def _sample_chunk(E, probs, U, offsets):
-    """The samples whose draws start at ``offsets[:-1]`` in the stream U."""
-    N, T = len(probs), len(offsets) - 1
-    k = np.diff(offsets) - N
+def _sample_chunk(E, probs, draws):
+    """The samples of the (T, 2, N) uniforms ``draws``: ``draws[t, 0]`` for
+    sample t's phase one and ``draws[t, 1, j]`` for its j-th item."""
+    T, _, N = draws.shape
+    kept = draws[:, 0] < probs  # (T, N)
+    k = np.count_nonzero(kept, axis=1)
     # Larger samples first, so the samples still drawing at step j are a prefix.
     order = np.argsort(-k, kind="stable")
     k = k[order]
     k_max = int(k[0])
-    idx = offsets[order] + np.arange(N)[:, None]
-    keep = U[idx] < probs[:, None]  # (N, T), the sample axis last
-    u = U[idx[:k_max] + N]  # u[j, t]: the uniform behind sample t's j-th item
+    keep = kept[order].T  # (N, T), the sample axis last
+    u = draws[order, 1, :k_max].T  # u[j, t]: the uniform behind sample t's j-th item
     # Sample t's projection kernel is K_t = E diag(keep_t) E^T; d2 is its
     # diagonal conditioned on the items drawn so far.
     d2 = (E**2) @ keep
@@ -294,11 +243,27 @@ def consensus_scores(samples):
     counts = np.bincount(group, weights=np.bincount(inverse))
     distinct = member[first].astype(float)
     sizes = distinct.sum(axis=1)
-    inter = distinct @ distinct.T
-    denom = sizes[:, None] + sizes[None, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f = np.where(denom > 0, 2.0 * inter / denom, 1.0)
-    return (f @ counts / T)[group[inverse]]
+    scores = np.empty(len(first))
+    # Row blocks whose F-scores and denominators, 8 U bytes a row each, and
+    # U-byte mask of empty pairs stay within MAP_CHUNK_BYTES; each block is
+    # scored in a call of its own, so its temporaries go before the next.
+    step = max(1, _batch.MAP_CHUNK_BYTES // (17 * len(first)))
+    for r0 in range(0, len(first), step):
+        block = slice(r0, r0 + step)
+        scores[block] = _fscores(distinct, sizes, block) @ counts
+    return (scores / T)[group[inverse]]
+
+
+def _fscores(distinct, sizes, block):
+    """F-scores of the membership rows ``distinct[block]`` against every
+    row of ``distinct``, whose sizes are ``sizes``; two empty rows score 1."""
+    f = distinct[block] @ distinct.T
+    denom = sizes[block, None] + sizes
+    f *= 2.0
+    with np.errstate(invalid="ignore"):
+        f /= denom
+    f[denom == 0] = 1.0
+    return f
 
 
 def mbr_decode(L, config):
@@ -308,12 +273,12 @@ def mbr_decode(L, config):
     with ``default_rng(config.seed)``, scores each by its average F-score
     against all drawn samples (itself included; that adds the same 1/T to
     every candidate), and returns the argmax, first occurrence winning
-    ties.  The samples are read from the seed's cached uniforms
-    (:func:`_seeded_uniforms`), so the kernels of one item count share
-    one draw.  Deterministic given (L, config).
+    ties.  The T samples of an N-item kernel read the first 2NT of the
+    seed's cached uniforms (:func:`_seeded_uniforms`), so the kernels of
+    one item count share one draw.  Deterministic given (L, config).
     """
     T = config.mbr_samples
-    samples, _ = _sample_stream(
+    samples = _sample_stream(
         L, T, _seeded_uniforms(config.seed, 2 * L.n_items * T))
     if len(samples) == 1:
         return samples[0]

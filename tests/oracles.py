@@ -199,24 +199,35 @@ def mbr_reference(samples):
     return samples[best_idx]
 
 
+def choice_reference(p, u):
+    """The item ``Generator.choice(len(p), p=p)`` picks with the uniform u:
+    the running sum of p, divided by its last entry, searched from the
+    right."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(np.searchsorted(cdf, u, side="right"))
+
+
 def sample_dpp_reference(L, rng):
     """One DPP sample by the spectral algorithm with a QR per step.
 
-    Phase one keeps eigenvector m with probability lambda_m / (lambda_m + 1).
-    Phase two samples an item from the squared row norms of the kept basis,
-    then contracts the basis to the subspace with zero component on that
-    item and re-orthonormalizes it.  Items whose projection mass falls below
-    1e-12 are excluded before each draw.
+    Reads ``rng.random(2N)``: phase one keeps eigenvector m when
+    ``U[m] < lambda_m / (lambda_m + 1)``.  Phase two samples its j-th item
+    from the squared row norms of the kept basis with ``U[N + j]``, as
+    ``Generator.choice`` would, then contracts the basis to the subspace
+    with zero component on that item and re-orthonormalizes it.  Items
+    whose projection mass falls below 1e-12 are excluded before each draw.
     """
-    probs = L.eigenvalues / (L.eigenvalues + 1.0)
-    keep = rng.random(L.n_items) < probs
+    N = L.n_items
+    U = rng.random(2 * N)
+    keep = U[:N] < L.eigenvalues / (L.eigenvalues + 1.0)
     V = np.array(L.eigenvectors[:, keep])
     items = []
     while V.shape[1] > 0:
         p = np.sum(V**2, axis=1)
         p[p < 1e-12] = 0.0
         p /= p.sum()
-        i = int(rng.choice(L.n_items, p=p))
+        i = choice_reference(p, U[N + len(items)])
         items.append(i)
         j = int(np.argmax(np.abs(V[i])))
         V = V - np.outer(V[:, j], V[i] / V[i, j])

@@ -7,6 +7,7 @@ import pytest
 from conftest import make_kernel
 from oracles import (
     all_subsets,
+    choice_reference,
     consensus_reference,
     map_exhaustive_reference,
     mbr_reference,
@@ -122,6 +123,19 @@ class TestSampler:
         assert pvalue > 0.001
 
 
+def test_choice_reference_is_generator_choice():
+    # the reference picks an item with one uniform as Generator.choice does
+    g = np.random.default_rng(12)
+    for seed in range(200):
+        n = int(g.integers(1, 30))
+        p = g.random(n) * (g.random(n) < 0.7)  # some items without mass
+        p[g.integers(n)] += 1e-3
+        p /= p.sum()
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert choice_reference(p, rng.random()) == int(twin.choice(n, p=p))
+        assert rng.random() == twin.random()
+
+
 def assert_draw_for_draw(L, T, seed, bit_generator=np.random.PCG64):
     """The stack equals T reference draws on a twin generator, state included."""
     rng = np.random.Generator(bit_generator(seed))
@@ -161,9 +175,9 @@ class TestSampleDppStack:
         chunks = []
         inner = inference_mod._sample_chunk
 
-        def recording(E, probs, U, offsets):
-            chunks.append(len(offsets) - 1)
-            return inner(E, probs, U, offsets)
+        def recording(E, probs, draws):
+            chunks.append(len(draws))
+            return inner(E, probs, draws)
 
         monkeypatch.setattr(inference_mod, "_sample_chunk", recording)
         assert_draw_for_draw(L, 100, 4)
@@ -194,12 +208,22 @@ class TestSampleDppStack:
         "bit_generator",
         [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64])
     def test_every_sample_reads_the_whole_bound(self, bit_generator, T):
-        # lambda / (lambda + 1) rounds to 1, so every sample keeps all N
-        # eigenvectors and reads 2N uniforms: exactly the 2NT drawn first
+        # Each sample reads 2N uniforms, however few eigenvectors it keeps:
+        # all N (lambda / (lambda + 1) rounds to 1), none (the zero kernel)
+        # or at most 3 (a rank-3 kernel).
         Q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((5, 5)))
-        L = EnsembleKernel.from_matrix(Q @ np.diag(1e20 * np.arange(1.0, 6.0)) @ Q.T)
-        assert np.all(L.eigenvalues / (L.eigenvalues + 1.0) == 1.0)
-        assert_draw_for_draw(L, T, 9, bit_generator)
+        saturated = EnsembleKernel.from_matrix(
+            Q @ np.diag(1e20 * np.arange(1.0, 6.0)) @ Q.T)
+        assert np.all(saturated.eigenvalues / (saturated.eigenvalues + 1.0) == 1.0)
+        A = np.random.default_rng(10).standard_normal((6, 3))
+        for L in (saturated, EnsembleKernel.from_matrix(np.zeros((4, 4))),
+                  EnsembleKernel.from_matrix(4.0 * A @ A.T)):
+            assert_draw_for_draw(L, T, 9, bit_generator)
+            rng = np.random.Generator(bit_generator(9))
+            twin = np.random.Generator(bit_generator(9))
+            sample_dpp_stack(L, T, rng)
+            twin.random(2 * L.n_items * T)
+            assert rng.random() == twin.random()
 
     def test_temporaries_stay_within_the_chunk_budget(self, monkeypatch):
         import tracemalloc
@@ -218,6 +242,24 @@ class TestSampleDppStack:
             tracemalloc.stop()
         assert len(samples) == T
         assert peak < T * n * n * 8 / 4  # a (T, N, N) array takes 16 MB
+
+    def test_mbr_decode_stays_within_twice_the_chunk_budget(self):
+        # at N = 50, T = 2000 nearly every sample is distinct, so dense
+        # U x U consensus matrices would take 32 MB each
+        import tracemalloc
+
+        import dpplearn.batch as batch_mod
+
+        L = EnsembleKernel.from_matrix(
+            random_psd_matrix(np.random.default_rng(13), 50, scale=3.0))
+        config = InferenceConfig(mode="mbr", mbr_samples=2000, seed=14)
+        tracemalloc.start()
+        try:
+            mbr_decode(L, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * batch_mod.MAP_CHUNK_BYTES
 
     def test_sample_dpp_is_the_stack_of_one(self, rng):
         L = make_kernel(rng, 6, scale=2.0)
