@@ -50,7 +50,9 @@ is scored by its margin term alone.  The objective is then a smooth
 function of theta, and its gradient is the derivative of its value.
 The theta gradient is in closed form and needs no label inverse.  The
 kernel-weight gradient, which exists only for more than one base kernel,
-needs S_y^{-1}, which the same factor gives.
+needs S_y^{-1}, which the same factor gives.  A pass evaluates the
+gradient on every row of a batch and leaves the inactive hinges out of
+its sums, so it copies no subset of rows.
 
 Exhaustive MAP first drops every item with L_ii <= 1, which no MAP
 subset holds: adding an item multiplies det(L_y) by its Schur pivot, at
@@ -75,7 +77,7 @@ from math import comb
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import NotPositiveSemidefiniteError, ParameterError
+from .errors import NumericalError, ParameterError
 from .kernel import (
     EIG_CLAMP_TOL,
     LABEL_SINGULAR_RTOL,
@@ -149,7 +151,7 @@ def build_L_stack(batch, theta, weights):
     return q, kernel_stack(q, similarity_stack(batch.grams, weights))
 
 
-def check_grams(batch, context=""):
+def check_grams(batch):
     """Apply the PSD rule of :func:`~dpplearn.kernel.clamp_psd_stack` to
     every base Gram matrix of a batch, once per batch.
 
@@ -175,27 +177,28 @@ def check_grams(batch, context=""):
     if any(cholesky_stack(G + shift)[1].any() for G in batch.grams):
         evals = np.linalg.eigvalsh(np.swapaxes(batch.grams, 0, 1)).reshape(n * k, N)
         clamp_psd_stack(evals, np.repeat(batch.indices, k),
-                        f" in a base Gram matrix{context}")
+                        " in a base Gram matrix")
     batch.grams_checked = True
 
 
-def resolvent_stack(L, indices=None, context=""):
+def resolvent_stack(L, indices=None):
     """log det(L + I) and (L + I)^{-1} for a (n, N, N) kernel stack.
 
     One batched Cholesky factorization L + I = C C^T gives the
     log-determinant as twice the log-sum of the diagonal of C, and the
     resolvent as X^T X with X = C^{-1} (:func:`_inverse_factor`).
-    When some L + I has no Cholesky factor, raises
-    NotPositiveSemidefiniteError naming the first such kernel by its
-    entry in ``indices`` (its row when ``indices`` is None).
+    Every caller passes a PSD L (certified Grams, or a kernel that passed
+    the PSD rule), so an L + I without a Cholesky factor is numerically
+    singular: its qualities' range swamps the identity.  That raises
+    NumericalError naming the first such kernel by its entry in
+    ``indices`` (its row when ``indices`` is None).
     """
     C, failed = cholesky_stack(L + np.eye(L.shape[-1]))
     if failed.any():
         row = int(np.argmax(failed))
         name = f"row {row}" if indices is None else f"instance {int(indices[row])}"
-        raise NotPositiveSemidefiniteError(
-            f"kernel for {name} has no Cholesky factor of L + I{context}: it is "
-            "not positive semidefinite")
+        raise NumericalError(
+            f"L + I for {name} is numerically singular: it has no Cholesky factor")
     logdet = 2.0 * np.sum(np.log(np.diagonal(C, axis1=1, axis2=2)), axis=1)
     X = _inverse_factor(C)
     return logdet, np.swapaxes(X, -1, -2) @ X
@@ -410,7 +413,7 @@ def similarity_label_terms(batch, weights):
     return batch.label_cache
 
 
-def hinge_terms(batch, theta, weights, lam, omega, want_grad=True, context=""):
+def hinge_terms(batch, theta, weights, lam, omega, want_grad=True):
     """Hinge objective and (optionally) its gradient for one batch.
 
     Returns ``(value, g_theta, g_weights, n_singular)``.  An instance
@@ -431,19 +434,21 @@ def hinge_terms(batch, theta, weights, lam, omega, want_grad=True, context=""):
     factors L + I once (:func:`resolvent_stack`).  The labels are scored
     on S: log det L_y = log det S_y + 2 sum_{i in y} x_i . theta.  The
     value is therefore a smooth function of theta, and which labels are
-    singular depends on the weights alone.  The theta block is in closed
-    form (:func:`theta_rates`).  The weights block chains
+    singular depends on the weights alone.  The gradient is evaluated on
+    every row and the inactive rows are left out of its sums; such a row
+    gets A = 1, so that one with A = 0 stays finite.  The theta block is
+    in closed form (:func:`theta_rates`).  The weights block chains
     dF/dS = q_i q_j (B + M)_ij - (S_y^{-1})_ij, with B = (L + I)^{-1}
-    (left out on singular rows) and M = :func:`margin_grad`, over the
-    active rows; the label part needs no qualities, since
+    (left out on singular rows) and M = :func:`margin_grad`, zeroed on
+    the inactive rows; the label part needs no qualities, since
     q_i q_j (L_y^{-1})_ij = (S_y^{-1})_ij, and S_y^{-1} comes from the
     factor the label terms kept, zero on the singular rows.
     """
-    check_grams(batch, context)
+    check_grams(batch)
     terms = similarity_label_terms(batch, weights)
-    q = quality_stack(batch.X, theta, batch.indices, context)
+    q = quality_stack(batch.X, theta, batch.indices)
     L = kernel_stack(q, terms.S)
-    logdetB, invB = resolvent_stack(L, batch.indices, context)
+    logdetB, invB = resolvent_stack(L, batch.indices)
     logdet_y = terms.logdet + 2.0 * np.sum(batch.X @ theta, axis=1, where=batch.mask)
     kdiag = 1.0 - np.diagonal(invB, axis1=1, axis2=2)
     A, logA = margin_mass(kdiag, batch.mask, omega)
@@ -458,35 +463,23 @@ def hinge_terms(batch, theta, weights, lam, omega, want_grad=True, context=""):
     if not want_grad:
         return value, None, None, n_singular
 
-    g_theta = np.zeros_like(theta)
-    want_weights = np.size(weights) > 1
-    g_weights = np.zeros_like(weights) if want_weights else None
-    act = np.nonzero((z > 0) | singular)[0]
-    if act.size == 0:
-        return value, g_theta, g_weights, n_singular
-    # every hinge is active in most passes: then take views, not copies
-    rows = slice(None) if act.size == batch.n else act
-    invB, mask, A = invB[rows], batch.mask[rows], A[rows]
-    singular = singular[rows]
-    r = theta_rates(kdiag[rows], invB, mask, singular, omega, A, lam)
-    g_theta = 2.0 * np.einsum("mi,mid->d", r, batch.X[rows])
-    if want_weights:
+    active = (z > 0) | singular
+    A = np.where(active, A, 1.0)
+    r = theta_rates(kdiag, invB, batch.mask, singular, omega, A, lam)
+    g_theta = 2.0 * np.einsum("mi,mid->d", r[active], batch.X[active])
+    g_weights = None
+    if np.size(weights) > 1:
         U = np.where(singular[:, None, None], 0.0, invB)
         if lam > 0:
-            U += margin_grad(invB, mask, omega, A, lam)
-        V = kernel_stack(q[rows], U)
-        keep = batch.mask & ~terms.singular[:, None]
-        V -= label_inverse(terms.factor, keep)[rows]
-        if rows is act:
-            V_all = np.zeros_like(L)
-            V_all[act] = V
-            V = V_all
+            U += margin_grad(invB, batch.mask, omega, A, lam)
+        V = kernel_stack(q, U)
+        V -= label_inverse(terms.factor, batch.mask & ~singular[:, None])
+        V[~active] = 0.0
         g_weights = chain_to_weights(V, batch.grams)
     return value, g_theta, g_weights, n_singular
 
 
-def dataset_value_and_grad(batches, theta, weights, lam, omega, want_grad=True,
-                           context=""):
+def dataset_value_and_grad(batches, theta, weights, lam, omega, want_grad=True):
     """Sum :func:`hinge_terms` over all batches of a dataset.
 
     One pass: the value and, when ``want_grad`` is true, both gradient
@@ -498,9 +491,7 @@ def dataset_value_and_grad(batches, theta, weights, lam, omega, want_grad=True,
     g_weights = np.zeros_like(weights) if want_weights else None
     n_singular = 0
     for batch in batches:
-        val, gt, gw, ns = hinge_terms(
-            batch, theta, weights, lam, omega, want_grad, context
-        )
+        val, gt, gw, ns = hinge_terms(batch, theta, weights, lam, omega, want_grad)
         total += val
         n_singular += ns
         if want_grad:

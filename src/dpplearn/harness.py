@@ -378,17 +378,12 @@ def write_csv(path, columns, records):
             fh.write(",".join(_fmt(v) for v in rec) + "\n")
 
 
-def spec_to_dict(spec):
-    """Every field of the spec and of its configs, as JSON-ready data."""
-    return asdict(spec)
-
-
 def write_manifest(path, spec):
     doc = {
         "kind": "dpplearn-manifest",
         "seed": spec.synth.seed,
         "generating_similarity": asdict(_generating_similarity(spec.kind)),
-        "spec": spec_to_dict(spec),
+        "spec": asdict(spec),
         "versions": {
             "dpplearn": __version__,
             "numpy": np.__version__,

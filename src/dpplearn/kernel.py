@@ -157,14 +157,14 @@ class ModelParams:
         object.__setattr__(self, "kernel_weights", _readonly(w))
 
 
-def check_simplex(w, tol=SIMPLEX_TOL):
+def check_simplex(w):
     """Raise ParameterError unless w is nonnegative and sums to one."""
     w = np.asarray(w, dtype=float)
     if w.size == 0:
         raise ParameterError("kernel weight vector is empty")
-    if np.min(w) < -tol:
+    if np.min(w) < -SIMPLEX_TOL:
         raise ParameterError(f"kernel weights must be nonnegative, got {w}")
-    if abs(float(np.sum(w)) - 1.0) > tol:
+    if abs(float(np.sum(w)) - 1.0) > SIMPLEX_TOL:
         raise ParameterError(f"kernel weights must sum to 1, got sum {np.sum(w)!r}")
 
 
@@ -235,7 +235,7 @@ class MarginalKernel:
         return self.matrix.diagonal()
 
 
-def clamp_psd_stack(evals, indices=None, context="", tol=EIG_CLAMP_TOL):
+def clamp_psd_stack(evals, indices=None, context=""):
     """The PSD rule for a stack of kernel spectra, one row per kernel.
 
     :class:`EnsembleKernel` applies it to the spectrum of L; the batched
@@ -243,13 +243,15 @@ def clamp_psd_stack(evals, indices=None, context="", tol=EIG_CLAMP_TOL):
     so every L built from them with simplex weights is PSD
     (``batch.check_grams``).
     Returns the eigenvalues clamped at zero.  A row with an eigenvalue
-    below -max(tol, 1e-12 max|eig|), absolute for unit-scale kernels and
-    relative for large spectra, raises NotPositiveSemidefiniteError that
-    names the kernel by its entry in ``indices`` when given.
+    below -max(``EIG_CLAMP_TOL``, 1e-12 max|eig|), absolute for unit-scale
+    kernels and relative for large spectra, raises
+    NotPositiveSemidefiniteError that names the kernel by its entry in
+    ``indices`` when given.
     """
     evals = np.asarray(evals, dtype=float)
     lowest = np.min(evals, axis=-1, initial=np.inf)
-    floor = -np.maximum(tol, 1e-12 * np.max(np.abs(evals), axis=-1, initial=0.0))
+    top = np.max(np.abs(evals), axis=-1, initial=0.0)
+    floor = -np.maximum(EIG_CLAMP_TOL, 1e-12 * top)
     bad = lowest < floor
     if np.any(bad):
         row = int(np.argmax(bad))
@@ -287,7 +289,7 @@ def gram_stack(phi, config):
     return grams
 
 
-def quality_stack(X, theta, indices=None, context=""):
+def quality_stack(X, theta, indices=None):
     """Qualities q = exp(X theta) for quality features X of shape (..., N, d_q).
 
     Raises NumericalError when some x . theta exceeds ``LOG_QUALITY_MAX``,
@@ -302,7 +304,7 @@ def quality_stack(X, theta, indices=None, context=""):
         name = f"row {row}" if indices is None else f"instance {int(indices[row])}"
         largest = np.max(np.abs(np.reshape(z, (top.size, -1))[row]))
         raise NumericalError(
-            f"qualities for {name} overflow{context}: largest |x . theta| is "
+            f"qualities for {name} overflow: largest |x . theta| is "
             f"{largest:.4g}, above {LOG_QUALITY_MAX:.4g}")
     return np.exp(z)
 

@@ -386,9 +386,7 @@ def train(dataset, config, initial=None):
         passes += 1
         theta, weights = split(x)
         val, g_t, g_w, n_sing = _batch.dataset_value_and_grad(
-            batches, theta, weights, config.lam, config.omega,
-            context=f" (training pass {passes})",
-        )
+            batches, theta, weights, config.lam, config.omega)
         if learn_weights:
             # d/du of F(softmax(u)) = w * (g_w - w . g_w)
             return val, np.concatenate([g_t, weights * (g_w - weights @ g_w)]), n_sing

@@ -150,11 +150,6 @@ def _config_value(default, value, name):
     return tuple(value) if isinstance(default, tuple) else value
 
 
-def train_config_to_dict(config):
-    """Every TrainConfig field, the similarity as a nested dict."""
-    return dataclasses.asdict(config)
-
-
 def write_train_result(path, result, config):
     doc = {
         "kind": "dpplearn-train-result",
@@ -162,7 +157,7 @@ def write_train_result(path, result, config):
             "theta": result.params.theta.tolist(),
             "kernel_weights": result.params.kernel_weights.tolist(),
         },
-        "config": train_config_to_dict(config),
+        "config": dataclasses.asdict(config),
         "converged": result.converged,
         "iterations_used": result.iterations_used,
         "stop_reason": result.stop_reason,

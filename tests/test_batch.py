@@ -1,6 +1,7 @@
 """The vectorized engine must agree with independent per-instance oracles."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -566,11 +567,35 @@ def test_base_grams_certified_by_cholesky(rng, monkeypatch, lowest,
 
 
 def test_kernel_without_cholesky_factor_names_the_instance():
-    L = np.zeros((3, 2, 2))
-    L[1] = np.diag([1.0, -2.0])  # L + I has eigenvalue -1
-    with pytest.raises(NotPositiveSemidefiniteError,
-                       match="instance 8 .*training iteration 4"):
-        resolvent_stack(L, np.array([7, 8, 9]), " (training iteration 4)")
+    # a PSD rank-one kernel whose range swamps the identity in float64
+    v = 3e8 * np.array([1.0, 1 / 3, 2 / 3])
+    L = np.zeros((3, 3, 3))
+    L[1] = np.outer(v, v)
+    with pytest.raises(NumericalError) as info:
+        resolvent_stack(L, np.array([7, 8, 9]))
+    assert type(info.value) is NumericalError
+    assert str(info.value) == (
+        "L + I for instance 8 is numerically singular: it has no Cholesky factor")
+
+
+def test_inactive_rows_leave_the_pass_unchanged(rng):
+    # a seventh instance with an empty label and qualities e^-400: its L
+    # underflows to zero, so A = 0, log A = -inf and its hinge is inactive
+    bank = SimilarityConfig(bandwidths=(0.8, 2.0), include_linear=False)
+    theta = np.array([0.5, -0.3, 0.2])
+    weights = np.array([0.3, 0.7])
+    data = [make_instance(rng, n=6) for _ in range(6)]
+    x = np.zeros((6, 3))
+    x[:, 0] = -800.0
+    discarded = GroundSetInstance(x, rng.standard_normal((6, 3)), ())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = stack_instances(data + [discarded], bank)[0]
+        assert batch.n == 7
+        got = hinge_terms(batch, theta, weights, 1.0, 2.0)
+        want = hinge_terms(stack_instances(data, bank)[0], theta, weights, 1.0, 2.0)
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
 
 def test_value_does_not_depend_on_want_grad(rng, dataset):

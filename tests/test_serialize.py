@@ -17,7 +17,6 @@ from dpplearn.harness import (
     EXPERIMENT_KINDS,
     FIG1C_SIGMA,
     ExperimentSpec,
-    spec_to_dict,
 )
 
 
@@ -236,7 +235,7 @@ class TestConfigRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(specs)
     def test_experiment_spec_roundtrips_through_json(self, spec):
-        doc = json.loads(json.dumps(spec_to_dict(spec)))
+        doc = json.loads(json.dumps(dataclasses.asdict(spec)))
         assert serialize.config_from_dict(ExperimentSpec(), doc) == spec
 
     @settings(max_examples=60, deadline=None)
