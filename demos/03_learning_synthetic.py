@@ -30,7 +30,7 @@ oracle = evaluate_params(ds.test, true_params(ds), TRUE_SIMILARITY, inference)
 print(f"oracle (true parameters): P={oracle[0]:.4f} R={oracle[1]:.4f} "
       f"F={oracle[2]:.4f}")
 
-base = TrainConfig(similarity=TRUE_SIMILARITY, rel_tolerance=1e-9)
+base = TrainConfig(similarity=TRUE_SIMILARITY)
 
 mle = train(list(ds.train), base)  # lam = 0: plain maximum likelihood
 mle_prf = evaluate_params(ds.test, mle.params, TRUE_SIMILARITY, inference)

@@ -21,8 +21,7 @@ inference = InferenceConfig()
 print(" omega    precision  recall   fscore   mean size")
 for q in (-6, -3, 0, 3, 6):
     omega = 2.0**q
-    config = TrainConfig(similarity=similarity, lam=1.0, omega=omega,
-                         rel_tolerance=1e-9)
+    config = TrainConfig(similarity=similarity, lam=1.0, omega=omega)
     result = train(list(ds.train), config)
     p, r, f = evaluate_params(ds.test, result.params, similarity, inference)
     preds = predict_subsets(ds.test, result.params, similarity, inference)

@@ -97,7 +97,7 @@ class ExperimentSpec:
     kind: str = "fig1a"
     synth: SynthConfig = field(default_factory=SynthConfig)
     train: TrainConfig = field(default_factory=lambda: TrainConfig(
-        similarity=TRUE_SIMILARITY, rel_tolerance=1e-9))
+        similarity=TRUE_SIMILARITY))
     inference: InferenceConfig = field(default_factory=InferenceConfig)
     replicates: int = 10
     methods: tuple = ("mle", "lme")

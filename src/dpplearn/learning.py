@@ -20,8 +20,9 @@ term alone.  So the objective is a smooth function of theta whose
 gradient is the derivative of its value, the set of singular labels
 depends on the kernel weights alone, and a fit factors the labels once
 per kernel-weight vector rather than once per pass
-(:func:`dpplearn.batch.similarity_label_terms`).  Its relative change
-between iterations is then a meaningful stopping test.
+(:func:`dpplearn.batch.similarity_label_terms`).  Its relative change is
+then a meaningful stopping test, over one step and over the last
+``LBFGS_MEMORY`` steps (:class:`TrainConfig`).
 
 Optimization is L-BFGS (Liu & Nocedal, Math. Programming 45, 1989) on
 (theta, u), with kernel weights w = softmax(u), so they stay on the
@@ -63,9 +64,9 @@ LBFGS_MEMORY = 8
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 30
 
-# Why train stopped: the relative change met rel_tolerance (or the start
-# was stationary), the pass budget ran out, or no step passed the Armijo
-# test.
+# Why train stopped: the one-step or the stall test of rel_tolerance was
+# met (or the start was stationary), the pass budget ran out, or no step
+# passed the Armijo test.
 STOP_REASONS = ("tolerance", "budget", "no_step")
 
 
@@ -84,16 +85,20 @@ class TrainConfig:
     max_outer_iterations : int
         T: :func:`train` makes at most 3T + 1 passes over the data.
     rel_tolerance : float
-        Stop, with ``converged`` True, after the first accepted step
-        whose objective differs from the previous iterate's by at most
-        ``rel_tolerance * max(1, |previous|)``.
+        tau, 1e-9 by default.  Stop, with ``converged`` True, after the
+        first accepted step k that meets either of two tests on the
+        objectives f_k.  The one-step test: f_k differs from f_{k-1} by
+        at most ``tau * max(1, |f_{k-1}|)``.  The stall test, for
+        k > M = ``LBFGS_MEMORY``: the last M steps gained at most
+        ``sqrt(tau) * max(1, |f_k|)``, f_{k-M} - f_k.  A joint fit's
+        tail creeps along weights near 0, and the stall test ends it.
     """
 
     similarity: SimilarityConfig = field(default_factory=SimilarityConfig)
     lam: float = 0.0
     omega: float = 1.0
     max_outer_iterations: int = 40
-    rel_tolerance: float = 1e-7
+    rel_tolerance: float = 1e-9
 
     def __post_init__(self):
         if self.lam < 0:
@@ -335,16 +340,18 @@ def train(dataset, config, initial=None):
     qualities overflow, say) or has a non-finite value fails the test.
     When ``MAX_HALVINGS`` halvings find no step, the memory is cleared
     and the line search retried along -g; when that fails too, the fit
-    stops with reason "no_step".  A pair with s . y <= 0, which the
-    hinge's kinks can give, is not kept.
+    stops with reason "no_step".  A pair with s . y <= 0 is not kept.
 
     Every pass, at the start and at each trial point, is one call of
     :func:`dpplearn.batch.dataset_value_and_grad`, and a fit makes at most
     3T + 1 passes for T = ``max_outer_iterations``; the fit stops with
     reason "budget" when the next trial would exceed that.  It stops with
     reason "tolerance", and ``converged`` True, after the first accepted
-    step whose objective changed by at most ``rel_tolerance`` relative
-    (see :class:`TrainConfig`), or at once when the gradient is zero.
+    step that meets the one-step or the stall test of ``rel_tolerance``
+    (see :class:`TrainConfig`): its objective changed by at most
+    ``rel_tolerance`` relative, or the last ``LBFGS_MEMORY`` steps
+    together by at most its square root; or at once when the gradient
+    is zero.
     ``objective_trace`` holds :func:`total_objective` at every accepted
     iterate, so it never increases, or the starting value alone when no
     step was accepted; ``iterations_used`` counts the accepted steps.
@@ -439,7 +446,11 @@ def train(dataset, config, initial=None):
             pairs.append((s_k, y_k, 1.0 / sy))
             del pairs[:-LBFGS_MEMORY]
         trace.append(f_new)
-        if abs(f - f_new) <= config.rel_tolerance * max(1.0, abs(f)):
+        # the one-step test, then the stall test over the last M steps
+        if (abs(f - f_new) <= config.rel_tolerance * max(1.0, abs(f))
+                or len(trace) > LBFGS_MEMORY
+                and trace[-1 - LBFGS_MEMORY] - f_new
+                <= math.sqrt(config.rel_tolerance) * max(1.0, abs(f_new))):
             reason = "tolerance"
         x, f, g = accepted, f_new, g_new
 

@@ -287,3 +287,22 @@ def test_converges_on_synthetic_data(seed):
     result = train(data, config)
     assert result.converged and result.stop_reason == "tolerance"
     assert result.iterations_used < config.max_outer_iterations
+
+
+def test_stall_test_ends_a_joint_fit():
+    # a fig1c-shaped fit: theta and the RBF bank's weights at lam = 1.
+    # Its tail creeps, so it stops on the last LBFGS_MEMORY steps' gain
+    # while its last step alone still changed the objective by more than tau
+    from dpplearn import SynthConfig, generate_dataset
+    from dpplearn.harness import DEFAULT_SIGMA_GRID, FIG1C_SIMILARITY
+
+    ds = generate_dataset(SynthConfig(n_train=150, n_holdout=1, n_test=1,
+                                      seed=1), FIG1C_SIMILARITY)
+    bank = SimilarityConfig(bandwidths=DEFAULT_SIGMA_GRID, include_linear=False)
+    config = TrainConfig(similarity=bank, lam=1.0)
+    tau, M = config.rel_tolerance, learning.LBFGS_MEMORY
+    result = train(list(ds.train), config)
+    trace = result.objective_trace
+    assert result.stop_reason == "tolerance"
+    assert abs(trace[-2] - trace[-1]) > tau * abs(trace[-2])
+    assert trace[-1 - M] - trace[-1] <= np.sqrt(tau) * abs(trace[-1])
