@@ -38,7 +38,6 @@ from .learning import (
     grad_loglik_wrt_L,
     grad_margin_wrt_L,
     instance_objective,
-    project_to_simplex,
     softmax_margin_term,
     total_objective,
     train,

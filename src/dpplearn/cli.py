@@ -189,6 +189,8 @@ def _cmd_infer(args):
 def _cmd_eval(args):
     cfg = _read_config(args, {"dataset": "", "predictions": ""})
     _, instances = serialize.read_instances(cfg["dataset"])
+    if not instances:
+        raise DataFormatError(f"{cfg['dataset']}: no instance records to score")
     preds = serialize.read_predictions(cfg["predictions"])
     if len(preds) != len(instances):
         raise DataFormatError(

@@ -14,7 +14,9 @@ Four canned experiments mirror the synthetic study:
   experiment measures whether training recovers a similarity the bank can
   express.
 * ``omega_sweep`` - large-margin training at a grid of loss weights omega,
-  tracing the precision/recall tradeoff.
+  tracing the precision/recall tradeoff, with lam at ``train.lam`` and the
+  RBF bank over ``sigma_grid``, under which omega visibly steers subset
+  sizes.
 
 Methods are tagged ``mle`` (lam = 0), ``lme`` (hinge objective at the
 configured ``train.omega``; lam selected on the holdout split by F-score),
@@ -35,9 +37,12 @@ Every experiment writes into its output directory:
 * ``pr_curve.csv`` (omega sweep only) - interpolated precision/recall
   polyline
 
-All randomness flows from one root seed: replicate r uses dataset seed
-``synth.seed + r``.  Reruns of the same experiment are byte-identical
-except for ``timings.csv``.
+:func:`run_experiment` runs every kind through one loop over replicates.
+Replicate r's rows depend on the spec and r alone: its dataset has seed
+``synth.seed + r``, labels from the kind's generating similarity, and
+``max(train_sizes)`` training instances for fig1a and fig1c
+(``synth.n_train`` otherwise).  Reruns of the same experiment are
+byte-identical except for ``timings.csv``.
 
 Dataset files consumed and produced around these experiments follow the
 line-delimited instance-record schema documented in
@@ -168,6 +173,8 @@ def predict_subsets(instances, params, similarity, inference):
 def evaluate_params(instances, params, similarity, inference):
     """Mean precision/recall/F of predictions against instance labels."""
     instances = list(instances)
+    if not instances:
+        raise ParameterError("evaluation requires at least one instance")
     preds = predict_subsets(instances, params, similarity, inference)
     arr = np.array([precision_recall_fscore(pred, inst.label)
                     for pred, inst in zip(preds, instances)])
@@ -192,10 +199,13 @@ def grid_search(train_split, holdout_split, lambda_grid, base_config,
     """
     if not holdout_split:
         raise ParameterError("grid search requires a non-empty holdout split")
+    lambdas = sorted(lambda_grid)
+    if not lambdas:
+        raise ParameterError("grid search requires a non-empty lambda grid")
     inference = inference or InferenceConfig()
     best = None
     table = []
-    for lam in sorted(lambda_grid):
+    for lam in lambdas:
         config = replace(base_config, lam=lam)
         result = train(list(train_split), config)
         score = evaluate_params(
@@ -207,129 +217,97 @@ def grid_search(train_split, holdout_split, lambda_grid, base_config,
     return GridSearchResult(*best, tuple(table))
 
 
+def _rbf(bandwidths):
+    return SimilarityConfig(bandwidths, include_linear=False)
+
+
 def _generating_similarity(kind):
     return FIG1C_SIMILARITY if kind == "fig1c" else TRUE_SIMILARITY
 
 
-def _replicate_dataset(spec, rep, n_train):
-    """Replicate ``rep``'s data: dataset seed ``synth.seed + rep``, labels
-    from the experiment kind's generating similarity."""
-    synth = replace(spec.synth, n_train=n_train, seed=spec.synth.seed + rep)
-    return generate_dataset(synth, _generating_similarity(spec.kind))
-
-
-def _scored_row(experiment, rep, method, cell, fit, ds, similarity, spec):
+def _scored_row(rep, method, cell, fit, ds, similarity, spec):
     """Parameters from ``fit()`` scored on the test split; the row's runtime
     covers fitting and scoring."""
     t0 = time.perf_counter()
     prf = evaluate_params(ds.test, fit(), similarity, spec.inference)
-    return ResultRow(experiment, rep, method, cell, *prf, time.perf_counter() - t0)
+    return ResultRow(spec.kind, rep, method, cell, *prf, time.perf_counter() - t0)
 
 
-def _method_rows(experiment, rep, cell, ds, split, base, spec, suffix=""):
+def _method_rows(rep, cell, ds, split, similarity, spec, suffix=""):
     """The mle then lme rows that ``spec.methods`` asks for, trained on
-    ``split`` with the ``base`` config."""
+    ``split`` with ``spec.train`` under ``similarity``."""
+    base = replace(spec.train, similarity=similarity)
     fits = {"mle": lambda: train(split, replace(base, lam=0.0)).params,
             "lme": lambda: grid_search(split, list(ds.holdout), spec.lambda_grid,
                                        base, spec.inference).best_params}
-    return [_scored_row(experiment, rep, m + suffix, cell, fits[m], ds,
-                        base.similarity, spec)
+    return [_scored_row(rep, m + suffix, cell, fits[m], ds, similarity, spec)
             for m in METHODS if m in spec.methods]
 
 
-def run_fig1a(spec):
-    """Learning theta only with the true similarity, across training sizes."""
+def _fig1a_rows(spec, rep, ds):
     rows = []
-    n_max = max(spec.train_sizes)
-    base = replace(spec.train, similarity=TRUE_SIMILARITY)
-    for rep in range(spec.replicates):
-        ds = _replicate_dataset(spec, rep, n_max)
-        oracle = true_params(ds)
-        for size in spec.train_sizes:
-            split = list(ds.train[:size])
-            rows.append(_scored_row("fig1a", rep, "oracle", size, lambda: oracle,
-                                    ds, TRUE_SIMILARITY, spec))
-            rows += _method_rows("fig1a", rep, size, ds, split, base, spec)
+    for size in spec.train_sizes:
+        rows.append(_scored_row(rep, "oracle", size, lambda: true_params(ds), ds,
+                                ds.similarity, spec))
+        rows += _method_rows(rep, size, ds, list(ds.train[:size]), ds.similarity,
+                             spec)
     return rows
 
 
-def run_fig1b(spec):
-    """Learning theta only under mis-specified RBF similarity, per sigma."""
+def _fig1b_rows(spec, rep, ds):
+    split = list(ds.train)
+    return [row for sigma in spec.sigma_grid
+            for row in _method_rows(rep, sigma, ds, split, _rbf((sigma,)), spec)]
+
+
+def _fig1c_rows(spec, rep, ds):
     rows = []
-    for rep in range(spec.replicates):
-        ds = _replicate_dataset(spec, rep, spec.synth.n_train)
-        split = list(ds.train)
-        for sigma in spec.sigma_grid:
-            sim = SimilarityConfig(bandwidths=(sigma,), include_linear=False)
-            rows += _method_rows("fig1b", rep, sigma, ds, split,
-                                 replace(spec.train, similarity=sim), spec)
+    for size in spec.train_sizes:
+        split = list(ds.train[:size])
+        for sim, suffix in ((_rbf(spec.sigma_grid), ""), (ds.similarity, "_true_s")):
+            rows += _method_rows(rep, size, ds, split, sim, spec, suffix)
     return rows
 
 
-def run_fig1c(spec):
-    """Learning theta and kernel weights jointly with the RBF bank.
-
-    The data are drawn from ``FIG1C_SIMILARITY``, the single RBF at
-    ``FIG1C_SIGMA``, which the bank over ``spec.sigma_grid`` contains; the
-    rows measure how well joint training recovers it.  Reference rows
-    retrain theta with that true similarity fixed, on the same data,
-    tagged ``mle_true_s``/``lme_true_s``.
-    """
-    rows = []
-    n_max = max(spec.train_sizes)
-    mkl_sim = SimilarityConfig(bandwidths=tuple(spec.sigma_grid),
-                               include_linear=False)
-    for rep in range(spec.replicates):
-        ds = _replicate_dataset(spec, rep, n_max)
-        for size in spec.train_sizes:
-            split = list(ds.train[:size])
-            for sim, suffix in ((mkl_sim, ""), (ds.similarity, "_true_s")):
-                rows += _method_rows("fig1c", rep, size, ds, split,
-                                     replace(spec.train, similarity=sim), spec,
-                                     suffix)
-    return rows
+def _omega_sweep_rows(spec, rep, ds):
+    split = list(ds.train)
+    base = replace(spec.train, similarity=_rbf(spec.sigma_grid))
+    return [_scored_row(rep, "lme", omega,
+                        lambda: train(split, replace(base, omega=omega)).params,
+                        ds, base.similarity, spec)
+            for omega in spec.omega_grid]
 
 
-def run_omega_sweep(spec):
-    """Precision/recall tradeoff: train the lme method at each omega.
+_ROW_BUILDERS = {"fig1a": _fig1a_rows, "fig1b": _fig1b_rows,
+                 "fig1c": _fig1c_rows, "omega_sweep": _omega_sweep_rows}
 
-    Uses the multiple-kernel similarity (RBF bank over ``sigma_grid``), the
-    parameterization under which the loss weight visibly steers subset
-    sizes.  lam stays at ``spec.train.lam``.  Returns ``(rows, pr_points)``
-    where pr_points interpolate the mean (recall, precision) polyline on a
-    uniform recall grid.
-    """
-    sim = SimilarityConfig(bandwidths=tuple(spec.sigma_grid),
-                           include_linear=False)
-    base = replace(spec.train, similarity=sim)
-    rows = []
-    for rep in range(spec.replicates):
-        ds = _replicate_dataset(spec, rep, spec.synth.n_train)
-        split = list(ds.train)
-        for omega in spec.omega_grid:
-            config = replace(base, omega=omega)
-            rows.append(_scored_row("omega_sweep", rep, "lme", omega,
-                                    lambda: train(split, config).params, ds,
-                                    sim, spec))
-    cells = summarize(rows)
-    pts = sorted((c["recall_mean"], c["precision_mean"]) for c in cells)
-    recs = np.array([p[0] for p in pts])
-    precs = np.array([p[1] for p in pts])
-    if recs.size > 1 and recs[-1] > recs[0]:
-        grid = np.linspace(recs[0], recs[-1], 101)
-        interp = np.interp(grid, recs, precs)
-        pr_points = list(zip(grid.tolist(), interp.tolist()))
-    else:
-        pr_points = [(float(r), float(p)) for r, p in pts]
-    return rows, pr_points
+
+def _replicate_rows(spec, rep):
+    """Replicate ``rep``'s rows, from its own dataset as the module
+    docstring describes, so they depend on ``spec`` and ``rep`` alone."""
+    sized = spec.kind in ("fig1a", "fig1c")
+    synth = replace(spec.synth, seed=spec.synth.seed + rep,
+                    n_train=max(spec.train_sizes) if sized else spec.synth.n_train)
+    ds = generate_dataset(synth, _generating_similarity(spec.kind))
+    return _ROW_BUILDERS[spec.kind](spec, rep, ds)
 
 
 def run_experiment(spec):
-    """``(rows, pr_points)``; pr_points is None except for omega_sweep."""
-    if spec.kind == "omega_sweep":
-        return run_omega_sweep(spec)
-    runner = {"fig1a": run_fig1a, "fig1b": run_fig1b, "fig1c": run_fig1c}[spec.kind]
-    return runner(spec), None
+    """``(rows, pr_points)``, the rows in replicate order.
+
+    pr_points is None except for omega_sweep, where it interpolates the
+    mean (recall, precision) polyline on a uniform recall grid.
+    """
+    rows = [row for rep in range(spec.replicates)
+            for row in _replicate_rows(spec, rep)]
+    if spec.kind != "omega_sweep":
+        return rows, None
+    pts = sorted((c["recall_mean"], c["precision_mean"]) for c in summarize(rows))
+    recs, precs = np.array(pts).T
+    if recs[-1] > recs[0]:
+        grid = np.linspace(recs[0], recs[-1], 101)
+        return rows, list(zip(grid.tolist(), np.interp(grid, recs, precs).tolist()))
+    return rows, pts
 
 
 def summarize(rows):

@@ -247,19 +247,6 @@ def chain_L_to_params(instance, params, similarity, upstream):
             _batch.chain_to_weights(kernel_stack(q, U), batch.grams))
 
 
-def project_to_simplex(v):
-    """Euclidean projection onto {w >= 0, sum(w) = 1}."""
-    v = np.ravel(np.asarray(v, dtype=float))
-    if v.size == 0:
-        raise ParameterError("cannot project an empty vector")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, v.size + 1)
-    rho = np.count_nonzero(u - css / ind > 0)
-    tau = css[rho - 1] / rho
-    return np.maximum(v - tau, 0.0)
-
-
 @dataclass(frozen=True)
 class FiniteDifferenceReport:
     analytic: np.ndarray

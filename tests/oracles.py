@@ -10,6 +10,8 @@ from itertools import combinations
 
 import numpy as np
 
+from dpplearn.errors import ParameterError
+
 
 def all_subsets(n):
     for size in range(n + 1):
@@ -251,6 +253,20 @@ def consensus_reference(samples):
     with np.errstate(invalid="ignore", divide="ignore"):
         f = np.where(denom > 0, 2.0 * inter / denom, 1.0)  # two empties: F = 1
     return f.mean(axis=1)
+
+
+def project_to_simplex(v):
+    """Euclidean projection onto {w >= 0, sum(w) = 1}, by the sort-based
+    rule; tests draw random kernel weights with it."""
+    v = np.ravel(np.asarray(v, dtype=float))
+    if v.size == 0:
+        raise ParameterError("cannot project an empty vector")
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    ind = np.arange(1, v.size + 1)
+    rho = np.count_nonzero(u - css / ind > 0)
+    tau = css[rho - 1] / rho
+    return np.maximum(v - tau, 0.0)
 
 
 def project_simplex_reference(v):

@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import random_psd_matrix
+from oracles import project_to_simplex, random_psd_matrix
 
 # singular-label warnings are unit-tested elsewhere; keep this output readable
 logging.getLogger("dpplearn.learning").setLevel(logging.ERROR)
@@ -33,14 +33,12 @@ from dpplearn import (
     instance_objective,
     log_probability,
     marginal_kernel_from_L,
-    project_to_simplex,
     sample_dpp_stack,
     softmax_margin_term,
     subset_marginal,
     total_objective,
 )
-from dpplearn.harness import ExperimentSpec, run_fig1a, run_fig1b, run_fig1c, \
-    run_omega_sweep, summarize
+from dpplearn.harness import ExperimentSpec, run_experiment, summarize
 
 
 def report(num, ok, detail):
@@ -298,7 +296,7 @@ def test_criterion_06_fig1a_direction():
         kind="fig1a", synth=SynthConfig(seed=MASTER_SEED), train=BASE_TRAIN,
         replicates=10, train_sizes=(200,), lambda_grid=(0.01, 0.1, 1.0, 10.0),
     )
-    cells = summarize(run_fig1a(spec))
+    cells = summarize(run_experiment(spec)[0])
     lme = _cell(cells, "lme", 200)
     mle = _cell(cells, "mle", 200)
     oracle = _cell(cells, "oracle", 200)
@@ -319,7 +317,7 @@ def test_criterion_07_fig1b_robustness():
         kind="fig1b", synth=SynthConfig(seed=MASTER_SEED), train=BASE_TRAIN,
         replicates=10, lambda_grid=(1.0, 10.0),
     )
-    cells = summarize(run_fig1b(spec))
+    cells = summarize(run_experiment(spec)[0])
     mle = [c["fscore_mean"] for c in cells if c["method"] == "mle"]
     lme = [c["fscore_mean"] for c in cells if c["method"] == "lme"]
     r_mle = max(mle) - min(mle)
@@ -341,7 +339,7 @@ def test_criterion_08_fig1c_recovery():
         replicates=10, train_sizes=(800,), lambda_grid=(1.0, 10.0),
         methods=("lme",),
     )
-    cells = summarize(run_fig1c(spec))
+    cells = summarize(run_experiment(spec)[0])
     mkl = _cell(cells, "lme", 800)
     ref = _cell(cells, "lme_true_s", 800)
     pooled = math.hypot(mkl["fscore_stderr"], ref["fscore_stderr"])
@@ -363,7 +361,7 @@ def test_criterion_09_omega_tradeoff():
                           rel_tolerance=1e-9),
         replicates=20, omega_grid=(lo_w, hi_w),
     )
-    rows, _ = run_omega_sweep(spec)
+    rows, _ = run_experiment(spec)
     cells = summarize(rows)
     lo = _cell(cells, "lme", lo_w)
     hi = _cell(cells, "lme", hi_w)

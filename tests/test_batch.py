@@ -16,6 +16,7 @@ from oracles import (
     loss_weighted_mass,
     map_exhaustive_reference,
     margin_grad_reference,
+    project_to_simplex,
     resolvent_reference,
 )
 
@@ -34,7 +35,6 @@ from dpplearn import (
     grad_loglik_wrt_L,
     instance_objective,
     log_probability,
-    project_to_simplex,
     total_objective,
 )
 from dpplearn import batch as batch_mod

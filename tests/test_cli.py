@@ -215,6 +215,22 @@ def test_eval_mismatched_counts_is_data_error(tmp_path, gen_cfg, capsys):
                      "--out-dir", str(tmp_path / "s")]) == EXIT_DATA
 
 
+def test_eval_on_an_instance_file_without_records_is_data_error(tmp_path, capsys):
+    data_path = tmp_path / "empty.jsonl"
+    data_path.write_text('{"kind": "dpplearn-instances"}\n')
+    pred_path = tmp_path / "preds.jsonl"
+    pred_path.write_text("")
+    eval_cfg = write_cfg(
+        tmp_path / "eval.cfg",
+        f'dataset = "{data_path}"\n'
+        f'predictions = "{pred_path}"\n',
+    )
+    assert cli_main(["eval", "--config", eval_cfg,
+                     "--out-dir", str(tmp_path / "s")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "empty.jsonl" in err and "Traceback" not in err
+
+
 TINY_EXPERIMENT = (
     'kind = "fig1a"\ntrain_sizes = [15]\nlambda_grid = [1.0]\n'
     "synth.n_train = 15\nsynth.n_holdout = 6\nsynth.n_test = 6\n"

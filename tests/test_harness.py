@@ -7,6 +7,7 @@ import pytest
 
 from dpplearn import InferenceConfig, SynthConfig, TRUE_SIMILARITY, generate_dataset
 from dpplearn.harness import (
+    EXPERIMENT_KINDS,
     FIG1C_SIMILARITY,
     ExperimentSpec,
     GridSearchResult,
@@ -15,8 +16,6 @@ from dpplearn.harness import (
     grid_search,
     run_and_write,
     run_experiment,
-    run_fig1a,
-    run_omega_sweep,
     summarize,
     write_manifest,
 )
@@ -74,11 +73,16 @@ class TestGridSearch:
         with pytest.raises(ParameterError):
             grid_search(list(ds.train), [], (1.0,), FAST_TRAIN)
 
+    def test_empty_lambda_grid_rejected(self):
+        ds = generate_dataset(TINY_SYNTH)
+        with pytest.raises(ParameterError, match="lambda grid"):
+            grid_search(list(ds.train), list(ds.holdout), (), FAST_TRAIN)
+
 
 class TestExperiments:
     def test_fig1a_shape_and_oracle_rows(self):
         spec = tiny_spec()
-        rows = run_fig1a(spec)
+        rows, _ = run_experiment(spec)
         methods = {r.method for r in rows}
         assert methods == {"oracle", "mle", "lme"}
         # one row per (method, size, replicate)
@@ -88,7 +92,7 @@ class TestExperiments:
 
     def test_fig1a_oracle_dominates(self):
         spec = tiny_spec(replicates=3, train_sizes=(25,))
-        cells = summarize(run_fig1a(spec))
+        cells = summarize(run_experiment(spec)[0])
         by_method = {c["method"]: c for c in cells}
         oracle = by_method["oracle"]
         assert oracle["fscore_mean"] > 0
@@ -112,16 +116,34 @@ class TestExperiments:
 
     def test_omega_sweep_rows_and_curve(self):
         spec = tiny_spec(kind="omega_sweep", replicates=2)
-        rows, pr = run_omega_sweep(spec)
+        rows, pr = run_experiment(spec)
         assert len(rows) == 2 * len(spec.omega_grid)
         assert all(r.method == "lme" for r in rows)
         assert len(pr) >= 2
         recalls = [p[0] for p in pr]
         assert recalls == sorted(recalls)
 
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_replicate_rows_depend_on_their_seed_alone(self, kind):
+        # replicate r of a run equals replicate 0 of a one-replicate run at
+        # seed synth.seed + r, so replicates may run in any order
+        spec = tiny_spec(kind=kind, train_sizes=(12, 20), lambda_grid=(1.0,),
+                         omega_grid=(0.5, 2.0),
+                         synth=replace(TINY_SYNTH, n_train=20, n_test=8))
+
+        def fields(rows, rep):
+            return [(r.experiment, r.method, r.cell, r.precision, r.recall,
+                     r.fscore) for r in rows if r.replicate == rep]
+
+        rows, _ = run_experiment(spec)
+        for rep in range(spec.replicates):
+            alone = replace(spec, replicates=1,
+                            synth=replace(spec.synth, seed=spec.synth.seed + rep))
+            assert fields(rows, rep) == fields(run_experiment(alone)[0], 0)
+
     def test_methods_subset_respected(self):
         spec = tiny_spec(methods=("mle",), train_sizes=(25,))
-        rows = run_fig1a(spec)
+        rows, _ = run_experiment(spec)
         assert {r.method for r in rows} == {"oracle", "mle"}
 
     def test_unknown_kind_rejected(self):
@@ -167,6 +189,11 @@ class TestSummaries:
         prf = evaluate_params(ds.test, true_params(ds), TRUE_SIMILARITY,
                               InferenceConfig())
         assert prf == (1.0, 1.0, 1.0)
+
+    def test_evaluate_params_rejects_no_instances(self):
+        ds = generate_dataset(TINY_SYNTH)
+        with pytest.raises(ParameterError):
+            evaluate_params([], true_params(ds), TRUE_SIMILARITY, InferenceConfig())
 
 
 class TestMbrContract:
@@ -249,7 +276,7 @@ class TestDirections:
 
         spec = tiny_spec(kind="omega_sweep", replicates=1, omega_grid=(1.0,),
                          sigma_grid=(0.5, 2.0))
-        rows, _ = run_omega_sweep(spec)
+        rows, _ = run_experiment(spec)
         sim = SimilarityConfig(bandwidths=(0.5, 2.0), include_linear=False)
         ds = generate_dataset(
             replace(spec.synth, seed=spec.synth.seed)
@@ -284,7 +311,7 @@ class TestDirections:
         spec_b = tiny_spec(kind="fig1b", synth=synth, train=train_cfg,
                            replicates=3, sigma_grid=(0.25, 1.0, 4.0, 16.0),
                            lambda_grid=(10.0,))
-        cells_a = summarize(run_fig1a(spec_a))
+        cells_a = summarize(run_experiment(spec_a)[0])
         cells_b = summarize(run_experiment(spec_b)[0])
         for method in ("mle", "lme"):
             ref = next(c for c in cells_a if c["method"] == method)

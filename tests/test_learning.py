@@ -9,6 +9,7 @@ from oracles import (
     log_probability_reference,
     loss_weighted_mass,
     project_simplex_reference,
+    project_to_simplex,
 )
 
 from dpplearn import (
@@ -28,7 +29,6 @@ from dpplearn import (
     instance_objective,
     log_probability,
     marginal_kernel_from_L,
-    project_to_simplex,
     softmax_margin_term,
     total_objective,
 )
