@@ -65,7 +65,7 @@ parent's Schur complement, and the child's complement is a rank-one
 update of the parent's.  So each of the 2^m subsets costs one update,
 vectorized over the kernels of a group and the subsets of a tree level,
 instead of its own factorization; ``MAP_CHUNK_BYTES`` bounds the memory
-this takes.
+this takes, and ``MAP_MAX_ITEMS`` bounds m, whatever N is.
 """
 
 from __future__ import annotations
@@ -95,6 +95,9 @@ LOG_FLOOR = 1e-300
 # Upper bound on the bytes of the arrays that exhaustive MAP (and the
 # batched sampler) hold at once; larger stacks are split into chunks.
 MAP_CHUNK_BYTES = 1 << 24
+# Most items with L_ii > 1 whose 2^m subsets exhaustive MAP walks: at 25,
+# one kernel's walk takes seconds, well inside the int64 masks' 62 bits.
+MAP_MAX_ITEMS = 25
 
 
 class InstanceBatch:
@@ -611,7 +614,7 @@ def _best_by_size(L, base):
     return vals, masks
 
 
-def map_exhaustive_stack(L_stack):
+def map_exhaustive_stack(L_stack, indices=None):
     """Exhaustive MAP subset, a tuple of int, for each kernel of a stack.
 
     Maximizes det(L_y) over all 2^N subsets of every (N, N) kernel in the
@@ -624,6 +627,9 @@ def map_exhaustive_stack(L_stack):
     L_ii - L_iy L_y^{-1} L_yi <= L_ii <= 1, so y itself scores at least
     as high and, being smaller, wins the tie.  Such items are dropped
     first, and the kernels are grouped by m, the number of items left.
+    Before any walk, an m above ``MAP_MAX_ITEMS`` raises ParameterError
+    naming the first such kernel by its entry in ``indices`` (its row
+    when ``indices`` is None).
     Each group's (m, m) kernels, compacted in item order, are searched by
     one walk of the subset tree that extends a subset's Cholesky
     factorization by one item per step, so each of the 2^m subsets costs
@@ -642,6 +648,12 @@ def map_exhaustive_stack(L_stack):
     L_stack = np.asarray(L_stack, dtype=float)
     eligible = np.diagonal(L_stack, axis1=1, axis2=2) > 1.0
     counts = np.count_nonzero(eligible, axis=1)
+    if counts.max(initial=0) > MAP_MAX_ITEMS:
+        row = int(np.argmax(counts > MAP_MAX_ITEMS))
+        name = f"row {row}" if indices is None else f"instance {int(indices[row])}"
+        raise ParameterError(
+            f"{name} has {counts[row]} items with L_ii > 1, too many to enumerate "
+            f"(MAP_MAX_ITEMS = {MAP_MAX_ITEMS}); use MBR decoding instead")
     subsets = [()] * L_stack.shape[0]
     for m in np.unique(counts[counts > 0]).tolist():
         rows = np.nonzero(counts == m)[0]

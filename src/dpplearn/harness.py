@@ -62,7 +62,7 @@ import numpy as np
 from . import __version__
 from .batch import build_L_stack, map_exhaustive_stack, stack_instances
 from .errors import ParameterError
-from .inference import InferenceConfig, predict_subset, require_enumerable
+from .inference import InferenceConfig, predict_subset
 from .kernel import EnsembleKernel, ModelParams, SimilarityConfig
 from .learning import TrainConfig, train
 from .losses import precision_recall_fscore
@@ -163,8 +163,7 @@ def predict_subsets(instances, params, similarity, inference):
             subsets = [predict_subset(EnsembleKernel.from_matrix(M), inference)
                        for M in L]
         else:
-            require_enumerable(b.n_items, inference.exhaustive_limit)
-            subsets = map_exhaustive_stack(L)
+            subsets = map_exhaustive_stack(L, b.indices)
         for pos, pred in zip(b.indices, subsets):
             preds[pos] = pred
     return preds
@@ -175,6 +174,9 @@ def evaluate_params(instances, params, similarity, inference):
     instances = list(instances)
     if not instances:
         raise ParameterError("evaluation requires at least one instance")
+    unlabeled = [pos for pos, inst in enumerate(instances) if inst.label is None]
+    if unlabeled:
+        raise ParameterError(f"instance {unlabeled[0]} has no label to score against")
     preds = predict_subsets(instances, params, similarity, inference)
     arr = np.array([precision_recall_fscore(pred, inst.label)
                     for pred, inst in zip(preds, instances)])

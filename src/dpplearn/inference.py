@@ -1,6 +1,7 @@
 """Extracting a predicted subset from a DPP kernel.
 
-Exact MAP by enumeration for small ground sets; exact sampling via the
+Exact MAP by enumeration, for kernels with at most
+``batch.MAP_MAX_ITEMS`` items whose L_ii exceeds 1; exact sampling via the
 two-phase spectral algorithm; and minimum-Bayes-risk decoding, which draws
 many samples and returns the one with the highest average F-score
 consensus against the rest.
@@ -33,49 +34,35 @@ from .errors import ParameterError
 class InferenceConfig:
     """How to turn a kernel into a predicted subset.
 
-    mode "exhaustive" enumerates all subsets (item counts up to
-    ``exhaustive_limit``); "mbr" samples ``mbr_samples`` subsets and picks
-    the consensus winner.
+    mode "exhaustive" enumerates all subsets (see :func:`map_exhaustive`);
+    "mbr" samples ``mbr_samples`` subsets and picks the consensus winner.
     """
 
     mode: str = "exhaustive"
-    exhaustive_limit: int = 20
     mbr_samples: int = 1000
     seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("exhaustive", "mbr"):
             raise ParameterError(f"unknown inference mode {self.mode!r}")
-        if not 1 <= self.exhaustive_limit <= 25:
-            raise ParameterError(
-                f"exhaustive_limit must be in [1, 25], got {self.exhaustive_limit}"
-            )
         if self.mbr_samples < 1:
             raise ParameterError("mbr_samples must be at least 1")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
 
 
-def map_exhaustive(L, exhaustive_limit=20):
+def map_exhaustive(L):
     """The subset maximizing det(L_y) over all 2^N subsets of a PSD kernel.
 
     Ties break toward smaller subsets, then lexicographically.  The
     enumeration is :func:`dpplearn.batch.map_exhaustive_stack` on a stack
     of one: it walks only the m items with L_ii > 1, since no other item
     is in a MAP subset, at one Schur-complement update per subset, so its
-    cost grows as 2^m times a small power of m.  Raises ParameterError
-    beyond ``exhaustive_limit`` items, which bounds N, not m; use MBR
-    decoding for larger ground sets.
+    cost grows as 2^m times a small power of m, whatever N is.  Raises
+    ParameterError when m exceeds ``batch.MAP_MAX_ITEMS``; use MBR
+    decoding for such kernels.
     """
-    require_enumerable(L.n_items, exhaustive_limit)
     return map_exhaustive_stack(L.matrix[None])[0]
-
-
-def require_enumerable(n_items, exhaustive_limit):
-    """Raise ParameterError when exhaustive MAP may not enumerate n_items."""
-    if n_items > exhaustive_limit:
-        raise ParameterError(
-            f"{n_items} items exceed the exhaustive enumeration limit "
-            f"{exhaustive_limit}; use mbr_decode instead"
-        )
 
 
 def sample_dpp(L, rng):
@@ -288,5 +275,5 @@ def mbr_decode(L, config):
 def predict_subset(L, config):
     """Dispatch on ``config.mode`` to MAP enumeration or MBR decoding."""
     if config.mode == "exhaustive":
-        return map_exhaustive(L, config.exhaustive_limit)
+        return map_exhaustive(L)
     return mbr_decode(L, config)

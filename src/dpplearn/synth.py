@@ -62,11 +62,8 @@ class SynthConfig:
         if min(self.n_items, self.feature_dim, self.n_train, self.n_holdout,
                self.n_test) < 1:
             raise ParameterError("all counts must be positive")
-        if self.n_items > 20:
-            raise ParameterError(
-                "label generation enumerates all subsets; n_items above 20 "
-                "is not supported"
-            )
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -104,7 +101,8 @@ def generate_dataset(config, similarity=TRUE_SIMILARITY):
     The labels of all instances come from one pass: the (n, N, d) features
     of every split go through :func:`~dpplearn.kernel.gram_stack` and the
     kernel assembly as one stack, and one ``map_exhaustive_stack`` call
-    finds all their MAP subsets.
+    finds all their MAP subsets, raising ParameterError for any instance
+    with more than ``batch.MAP_MAX_ITEMS`` items whose L_ii exceeds 1.
     """
     if similarity.n_weights != 1:
         raise ParameterError(

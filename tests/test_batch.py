@@ -27,6 +27,7 @@ from dpplearn import (
     ModelParams,
     NotPositiveSemidefiniteError,
     NumericalError,
+    ParameterError,
     SimilarityConfig,
     SynthConfig,
     TrainConfig,
@@ -500,6 +501,29 @@ def test_map_stack_temporaries_stay_within_the_budget(monkeypatch):
     sizes = _count_walk_sizes(monkeypatch)
     map_exhaustive_stack(L)
     assert len(sizes) > 1 and set(sizes) == {16}
+
+
+def test_map_stack_bounds_the_items_it_walks_not_n(monkeypatch):
+    # N = 30 kernels: one with 6 items of L_ii > 1, whose MAP is the
+    # oracle's on those items, and two with 26, one more than the walk takes
+    rng = np.random.default_rng(15)
+    L = _psd_stack(rng, 3, 30)
+    target = rng.uniform(0.2, 1.0, (3, 30))
+    items = np.sort(rng.choice(30, 6, replace=False))
+    target[0, items] = rng.uniform(1.5, 6.0, 6)
+    target[1:, 4:] = rng.uniform(1.5, 6.0, (2, 26))
+    s = np.sqrt(target / np.diagonal(L, axis1=1, axis2=2))
+    L = s[:, :, None] * L * s[:, None, :]
+    (got,) = map_exhaustive_stack(L[:1])
+    want = map_exhaustive_reference(L[0][np.ix_(items, items)])
+    assert got == tuple(items[list(want)].tolist())
+    # the first kernel over the bound is named before any walk starts
+    sizes = _count_walk_sizes(monkeypatch)
+    with pytest.raises(ParameterError, match=r"^instance 8 has 26 items .* MBR"):
+        map_exhaustive_stack(L, indices=[3, 8, 9])
+    with pytest.raises(ParameterError, match=r"^row 1 has 26 items"):
+        map_exhaustive_stack(L)
+    assert sizes == []
 
 
 def _resolvent_case(rng, kind):

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import dpplearn
+from dpplearn import TRUE_SIMILARITY, GroundSetInstance, ModelParams, serialize
 from dpplearn.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, cli_main
+from dpplearn.learning import TrainConfig, TrainResult
 
 
 def write_cfg(path, text):
@@ -133,6 +135,49 @@ def test_infer_mbr_with_failing_eigendecomposition_is_numerical_error(
     assert code == EXIT_NUMERICAL
     assert "did not converge" in capsys.readouterr().err
     assert not (tmp_path / "pred" / "predictions.jsonl").exists()
+
+
+def test_infer_exhaustive_bounds_the_items_it_walks_not_n(tmp_path):
+    # N = 24 under the linear kernel at theta = 0, so L_ii = |phi_i|^2:
+    # items 0-4 at 4, the other 19 at 1/4, which no MAP subset holds
+    rng = np.random.default_rng(3)
+    phi = rng.standard_normal((4, 24, 3))
+    phi *= np.where(np.arange(24) < 5, 2.0, 0.5)[:, None] / np.linalg.norm(
+        phi, axis=2, keepdims=True)
+    serialize.write_instances(
+        tmp_path / "data.jsonl",
+        [GroundSetInstance(np.zeros((24, 1)), p) for p in phi])
+    serialize.write_train_result(
+        tmp_path / "model.json",
+        TrainResult(ModelParams(np.zeros(1), np.ones(1)), (1.0,), True, 1),
+        TrainConfig(similarity=TRUE_SIMILARITY))
+    infer_cfg = write_cfg(
+        tmp_path / "infer.cfg",
+        f'dataset = "{tmp_path}/data.jsonl"\n'
+        f'model = "{tmp_path}/model.json"\n'
+        'inference.mode = "exhaustive"\n',
+    )
+    pred_dir = tmp_path / "pred"
+    assert cli_main(["infer", "--config", infer_cfg,
+                     "--out-dir", str(pred_dir)]) == EXIT_OK
+    preds = serialize.read_predictions(pred_dir / "predictions.jsonl")
+    assert len(preds) == 4
+    assert all(pred and set(pred) <= set(range(5)) for pred in preds)
+
+
+@pytest.mark.parametrize("command, text, seed", [
+    ("gen", "", ["--seed", "-1"]),
+    ("gen", "synth.seed = -3\n", []),
+    ("infer", 'dataset = "d.jsonl"\nmodel = "m.json"\ninference.mode = "mbr"\n',
+     ["--seed", "-1"]),
+], ids=["gen_flag", "gen_config", "infer_flag"])
+def test_negative_seed_is_data_error(tmp_path, capsys, command, text, seed):
+    cfg = write_cfg(tmp_path / "seed.cfg", text)
+    code = cli_main([command, "--config", cfg, *seed,
+                     "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "seed must be non-negative" in err and "Traceback" not in err
 
 
 def test_experiment_rerun_byte_identical(tmp_path):

@@ -21,7 +21,7 @@ from dpplearn.harness import (
 )
 from dpplearn.learning import TrainConfig
 from dpplearn.errors import NumericalError, ParameterError
-from dpplearn.kernel import ModelParams
+from dpplearn.kernel import GroundSetInstance, ModelParams
 from dpplearn.synth import true_params
 
 logging.getLogger("dpplearn.learning").setLevel(logging.ERROR)
@@ -29,6 +29,10 @@ logging.getLogger("dpplearn.learning").setLevel(logging.ERROR)
 FAST_TRAIN = TrainConfig(similarity=TRUE_SIMILARITY, max_outer_iterations=8,
                          rel_tolerance=1e-12)
 TINY_SYNTH = SynthConfig(n_train=25, n_holdout=12, n_test=12, seed=5)
+
+
+def unlabeled(inst):
+    return GroundSetInstance(inst.quality_features, inst.similarity_features)
 
 
 def tiny_spec(**kw):
@@ -77,6 +81,13 @@ class TestGridSearch:
         ds = generate_dataset(TINY_SYNTH)
         with pytest.raises(ParameterError, match="lambda grid"):
             grid_search(list(ds.train), list(ds.holdout), (), FAST_TRAIN)
+
+    def test_unlabeled_holdout_rejected(self):
+        ds = generate_dataset(TINY_SYNTH)
+        holdout = list(ds.holdout)
+        holdout[2] = unlabeled(holdout[2])
+        with pytest.raises(ParameterError, match="instance 2 has no label"):
+            grid_search(list(ds.train), holdout, (1.0,), FAST_TRAIN)
 
 
 class TestExperiments:
@@ -194,6 +205,13 @@ class TestSummaries:
         ds = generate_dataset(TINY_SYNTH)
         with pytest.raises(ParameterError):
             evaluate_params([], true_params(ds), TRUE_SIMILARITY, InferenceConfig())
+
+    def test_evaluate_params_names_an_unlabeled_instance(self):
+        ds = generate_dataset(TINY_SYNTH)
+        test = list(ds.test)
+        test[1] = unlabeled(test[1])
+        with pytest.raises(ParameterError, match="instance 1 has no label"):
+            evaluate_params(test, true_params(ds), TRUE_SIMILARITY, InferenceConfig())
 
 
 class TestMbrContract:

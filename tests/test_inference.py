@@ -61,10 +61,11 @@ class TestMapExhaustive:
         for y in all_subsets(7):
             assert best_val >= log_subset_det(L.matrix, tuple(y)) - 1e-12
 
-    def test_limit_guard(self, rng):
-        L = make_kernel(rng, 6)
-        with pytest.raises(ParameterError, match="mbr"):
-            map_exhaustive(L, exhaustive_limit=5)
+    def test_limit_guard(self):
+        # 26 items with L_ii > 1, one more than the walk takes
+        L = EnsembleKernel.from_matrix(2.0 * np.eye(26))
+        with pytest.raises(ParameterError, match="MBR"):
+            map_exhaustive(L)
 
 
 def duplicate_item_kernel():
@@ -354,14 +355,9 @@ class TestPredictSubset:
         with pytest.raises(ParameterError):
             InferenceConfig(mode="greedy")
         with pytest.raises(ParameterError):
-            InferenceConfig(exhaustive_limit=30)
-        with pytest.raises(ParameterError):
             InferenceConfig(mbr_samples=0)
-
-    @pytest.mark.parametrize("limit", [0, -1])
-    def test_exhaustive_limit_below_one_rejected(self, limit):
-        with pytest.raises(ParameterError, match="exhaustive_limit"):
-            InferenceConfig(exhaustive_limit=limit)
+        with pytest.raises(ParameterError, match="seed"):
+            InferenceConfig(mode="mbr", seed=-1)
 
     @pytest.mark.parametrize("mode", ["exhaustive", "mbr"])
     def test_overflowing_qualities_are_numerical_error(self, mode):

@@ -10,23 +10,28 @@ from hypothesis import strategies as st
 
 from oracles import (
     all_subsets,
+    consensus_reference,
     det_sub,
     hinge_reference,
     kernel_reference,
+    log_probability_reference,
     loss_weighted_mass,
     map_exhaustive_reference,
 )
 
 from dpplearn import (
+    EnsembleKernel,
     GroundSetInstance,
     ModelParams,
     SimilarityConfig,
     TrainConfig,
+    map_exhaustive,
     total_objective,
     train,
 )
 from dpplearn import batch as batch_mod
 from dpplearn import learning
+from dpplearn.inference import consensus_scores
 from dpplearn.kernel import LABEL_SINGULAR_RTOL, uniform_params
 
 D_Q, D_S = 2, 2
@@ -121,17 +126,23 @@ def hinge_problems(draw):
         2.0 ** draw(st.floats(-6.0, 6.0))
 
 
+def label_is_singular(L, y):
+    """Whether the library calls label y of kernel L singular, rejecting
+    the example unless y stands clear of its threshold on either side."""
+    if not y:
+        return False
+    d = np.sqrt(np.diag(L)[list(y)])
+    evals = np.linalg.eigvalsh(L[np.ix_(y, y)] / np.outer(d, d))
+    ratio = evals[0] / evals[-1]
+    assume(ratio < 1e-3 * LABEL_SINGULAR_RTOL or ratio > 1e3 * LABEL_SINGULAR_RTOL)
+    return ratio < LABEL_SINGULAR_RTOL
+
+
 def hinge_term_reference(L, y, lam, omega):
     """One instance's term of the hinge objective: ``hinge_reference``, or
     lam * log A alone when the label's submatrix is singular."""
-    if y:
-        d = np.sqrt(np.diag(L)[list(y)])
-        evals = np.linalg.eigvalsh(L[np.ix_(y, y)] / np.outer(d, d))
-        ratio = evals[0] / evals[-1]
-        # clear of the library's singular threshold on either side
-        assume(ratio < 1e-3 * LABEL_SINGULAR_RTOL or ratio > 1e3 * LABEL_SINGULAR_RTOL)
-        if ratio < LABEL_SINGULAR_RTOL:
-            return lam * math.log(loss_weighted_mass(L, y, omega))
+    if label_is_singular(L, y):
+        return lam * math.log(loss_weighted_mass(L, y, omega))
     return hinge_reference(L, y, lam, omega)
 
 
@@ -145,6 +156,48 @@ def test_hinge_value_is_the_sum_of_reference_terms(problem):
     value, _, _, _ = batch_mod.hinge_terms(b, params.theta, params.kernel_weights,
                                            lam, omega, want_grad=False)
     assert value == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(hinge_problems())
+def test_hinge_gradient_is_the_derivative_of_its_value(problem):
+    data, similarity, params, lam, omega = problem
+    for inst in data:
+        L = kernel_reference(inst, params, similarity)
+        if not label_is_singular(L, inst.label):
+            # the hinge's argument, clear of its kink at 0
+            z = -log_probability_reference(L, inst.label)
+            if lam > 0:
+                z += lam * math.log(loss_weighted_mass(L, inst.label, omega))
+            assume(abs(z) > 1e-3)
+    (b,) = batch_mod.stack_instances(data, similarity)
+
+    def value(theta, weights):
+        return batch_mod.hinge_terms(b, theta, weights, lam, omega,
+                                     want_grad=False)[0]
+
+    theta, weights = params.theta, params.kernel_weights
+    _, g_theta, g_weights, _ = batch_mod.hinge_terms(b, theta, weights, lam, omega)
+    h = 1e-6
+    fd = [(value(theta + e, weights) - value(theta - e, weights)) / (2 * h)
+          for e in h * np.eye(theta.size)]
+    scale = 1e-6 * max(1.0, abs(value(theta, weights)))
+    np.testing.assert_allclose(g_theta, fd, rtol=1e-5, atol=scale)
+    if weights.size > 1:
+        fd = [(value(theta, weights + e) - value(theta, weights - e)) / (2 * h)
+              for e in h * np.eye(weights.size)]
+        np.testing.assert_allclose(g_weights, fd, rtol=1e-5, atol=scale)
+    else:
+        assert g_weights is None
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.lists(st.lists(st.integers(0, 3) | st.integers(60, 70), unique=True)
+                .map(tuple), min_size=1, max_size=40))
+def test_consensus_scores_equal_the_dense_reference(samples):
+    # items past 63 take a second membership word; tuples come in any order
+    np.testing.assert_allclose(consensus_scores(samples),
+                               consensus_reference(samples), rtol=1e-12, atol=0)
 
 
 @st.composite
@@ -171,3 +224,24 @@ def test_map_stack_attains_the_reference_value(L_stack):
         vals = sorted((det_sub(L, y) for y in all_subsets(L.shape[0])), reverse=True)
         if len(vals) == 1 or vals[1] < (1.0 - 1e-9) * vals[0]:
             assert got == want
+
+
+@st.composite
+def padded_kernels(draw):
+    """A PSD kernel on at most 7 items, and a copy padded with zero items
+    to at most 30, with the positions its items took."""
+    core = draw(kernel_stacks())[0]
+    N = core.shape[0] + draw(st.integers(0, 30 - core.shape[0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    at = np.sort(rng.choice(N, core.shape[0], replace=False))
+    L = np.zeros((N, N))
+    L[np.ix_(at, at)] = core
+    return core, L, at
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(padded_kernels())
+def test_zero_items_leave_the_map_subset_in_place(case):
+    core, L, at = case
+    want = map_exhaustive(EnsembleKernel.from_matrix(core))
+    assert map_exhaustive(EnsembleKernel.from_matrix(L)) == tuple(at[list(want)].tolist())

@@ -211,7 +211,7 @@ specs = st.builds(
     ExperimentSpec,
     kind=st.sampled_from(EXPERIMENT_KINDS),
     synth=st.builds(
-        SynthConfig, n_items=st.integers(1, 20), feature_dim=st.integers(1, 8),
+        SynthConfig, n_items=st.integers(1, 200), feature_dim=st.integers(1, 8),
         noise_prob=st.floats(min_value=0.0, max_value=1.0),
         n_train=st.integers(1, 1000), n_holdout=st.integers(1, 100),
         n_test=st.integers(1, 100), seed=st.integers(0, 2**31),
@@ -219,7 +219,7 @@ specs = st.builds(
     train=train_configs,
     inference=st.builds(
         InferenceConfig, mode=st.sampled_from(["exhaustive", "mbr"]),
-        exhaustive_limit=st.integers(1, 25), mbr_samples=st.integers(1, 5000),
+        mbr_samples=st.integers(1, 5000),
         seed=st.integers(0, 2**31),
     ),
     replicates=st.integers(1, 20),

@@ -108,8 +108,8 @@ class TestGenerateDataset:
             SynthConfig(noise_prob=1.5)
         with pytest.raises(ParameterError):
             SynthConfig(n_train=0)
-        with pytest.raises(ParameterError):
-            SynthConfig(n_items=21)
+        with pytest.raises(ParameterError, match="seed"):
+            SynthConfig(seed=-3)
 
 
 class TestMisspecifiedSimilarity:
